@@ -53,16 +53,6 @@ def results_to_csv(results: Sequence[BenchResult]) -> str:
     return buf.getvalue()
 
 
-def _spec_for(mechanism: str) -> AttentionSpec:
-    if mechanism == "diag":
-        return AttentionSpec("diag", block_size=64)
-    if mechanism == "linear":
-        return AttentionSpec("linear", kernel="1+elu")
-    if mechanism == "norm":
-        return AttentionSpec("norm", kernel="1+elu")
-    return AttentionSpec("vanilla")
-
-
 def _make_inputs(n: int, d: int, seed: int):
     Q = linalg.uniform(n, d, linalg.split_seed(seed, 1), -0.5, 0.5)
     K = linalg.uniform(n, d, linalg.split_seed(seed, 2), -0.5, 0.5)
@@ -71,20 +61,11 @@ def _make_inputs(n: int, d: int, seed: int):
 
 
 def _run_once(mechanism: str, Q, K, V, mode: str) -> None:
-    spec = _spec_for(mechanism)
+    spec = AttentionSpec(mechanism)
     if mode == "forward":
         attention.forward(Q, K, V, spec)
         return
-    n, d = Q.shape
-    dO = np.full((n, d), 0.5)
-    if mechanism == "vanilla":
-        grad.vanilla_backward(Q, K, V, dO, spec)
-    elif mechanism == "linear":
-        grad.linear_scaled_backward(Q, K, V, dO, spec)
-    elif mechanism == "norm":
-        grad.norm_backward(Q, K, V, dO, spec)
-    else:
-        grad.diag_backward(Q, K, V, dO, spec)
+    grad.backward(Q, K, V, np.full(Q.shape, 0.5), spec)
 
 
 def track_peak_memory(run: Callable[[], None]) -> int:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -351,7 +352,10 @@ def read_matrix_file(path: str):
         content = fh.read()
     if not content.strip():
         return np.zeros((0, 0))
-    return np.loadtxt(io.StringIO(content), dtype=np.float64, ndmin=2)
+    m = np.loadtxt(io.StringIO(content), dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: input holds a non-finite value (nan or inf)")
+    return m
 
 
 def write_matrix_file(path: str, m) -> None:
@@ -373,10 +377,17 @@ def _resolve_seed(args) -> int:
 
 
 def _load_config_file(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return json.load(fh)
-    return {}
+    """Model config keys from --config; unknown keys are a usage error."""
+    if not getattr(args, "config", None):
+        return {}
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(model.ModelConfig)})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+    return cfg
 
 
 def cmd_verify(args) -> int:
@@ -385,7 +396,7 @@ def cmd_verify(args) -> int:
     results = {name: SUITES[name](seed) for name in names}
     ok = all(r["pass"] for r in results.values())
     _emit({"command": "verify",
-           "config": {"suite": args.suite, "seed": seed, "threads": args.threads},
+           "config": {"suite": args.suite, "seed": seed},
            "pass": ok,
            "results": results}, args.out)
     return 0 if ok else 1
@@ -435,7 +446,8 @@ def cmd_dilution(args) -> int:
         Q = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 2), std=1 / math.sqrt(d)))
         K = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 3), std=1 / math.sqrt(d)))
         V = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 4), std=1 / math.sqrt(d)))
-        spec = _bench_spec(mech, args)
+        spec = AttentionSpec(mech, kernel=args.kernel, block_size=args.block_size or 64,
+                             causal=args.causal, epsilon=args.epsilon or 1e-5)
         P = attention.forward(Q, K, V, spec, reference=True).P
         if mech == "norm":
             P = dilution.scores_to_distribution(P)  # raw scores, not stochastic
@@ -487,16 +499,6 @@ def _dilution_from_model(args, seed: int, outdir: str) -> int:
     return 0
 
 
-def _bench_spec(mech: str, args) -> AttentionSpec:
-    if mech == "diag":
-        return AttentionSpec("diag", block_size=args.block_size or 64,
-                             causal=args.causal)
-    if mech in ("linear", "norm"):
-        return AttentionSpec(mech, kernel=args.kernel, causal=args.causal,
-                             epsilon=args.epsilon or 1e-5)
-    return AttentionSpec("vanilla", causal=args.causal)
-
-
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     lengths = [int(v) for v in args.lengths.split(",")]
@@ -517,8 +519,7 @@ def cmd_bench(args) -> int:
             slopes[mech] = None
     _emit({"command": "bench",
            "config": {"lengths": lengths, "mechanisms": mechanisms, "d": args.d,
-                      "reps": args.reps, "mode": args.mode, "seed": seed,
-                      "threads": args.threads},
+                      "reps": args.reps, "mode": args.mode, "seed": seed},
            "loglog_slopes": slopes,
            "csv": args.out}, None)
     return 0
@@ -526,15 +527,11 @@ def cmd_bench(args) -> int:
 
 def cmd_stability(args) -> int:
     seed = _resolve_seed(args)
-    specs = []
-    for mech in args.mechanisms.split(","):
-        if mech == "norm":
-            specs.append(AttentionSpec("norm", kernel=args.kernel,
-                                       epsilon=args.epsilon or 1e-4))
-        elif mech == "linear":
-            specs.append(AttentionSpec("linear", kernel=args.kernel))
-        else:
-            specs.append(AttentionSpec(mech))
+    # the experiment is non-causal with 64-row blocks: --causal and
+    # --block-size do not apply here
+    specs = [AttentionSpec(mech, kernel=args.kernel, block_size=64, causal=False,
+                           epsilon=args.epsilon or 1e-4)
+             for mech in args.mechanisms.split(",")]
     report = grad.grad_stability_experiment(specs, steps=args.steps, seed=seed,
                                             learning_rate=args.lr)
     _emit({"command": "stability",
@@ -610,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--causal", action="store_true")
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("verify", help="run the property suites")
     common(p)

@@ -138,8 +138,7 @@ def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
     """Gradients through rescaled kernelized attention, plus a bound report."""
     spec = spec or AttentionSpec("linear")
     kern = spec.kernel_fn
-    alpha = 1.0 / math.sqrt(Q.shape[1]) if spec.scaled else 1.0
-    FQ = kern.apply(Q) * alpha
+    FQ = kern.apply(Q)
     FK = kern.apply(K)
     S = linalg.matmul(FQ, linalg.transpose(FK))
     mask = np.tri(S.shape[0]) if spec.causal else None
@@ -155,7 +154,7 @@ def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
         dS = dS * mask
     dFQ = linalg.matmul(dS, FK)
     dFK = linalg.matmul(linalg.transpose(dS), FQ)
-    dQ = kern.derivative(Q) * dFQ * alpha
+    dQ = kern.derivative(Q) * dFQ
     dK = kern.derivative(K) * dFK
 
     c1 = linalg.row_norm_max(dO)
@@ -178,8 +177,7 @@ def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
     """Gradients through normalized (non-rescaled) kernelized attention."""
     kern = spec.kernel_fn
     eps = spec.epsilon
-    alpha = 1.0 / math.sqrt(Q.shape[1]) if spec.scaled else 1.0
-    FQ = kern.apply(Q) * alpha
+    FQ = kern.apply(Q)
     FK = kern.apply(K)
     S = linalg.matmul(FQ, linalg.transpose(FK))
     mask = np.tri(S.shape[0]) if spec.causal else None
@@ -193,7 +191,7 @@ def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
     dV = linalg.matmul(linalg.transpose(S), dT)
     dFQ = linalg.matmul(dS, FK)
     dFK = linalg.matmul(linalg.transpose(dS), FQ)
-    dQ = kern.derivative(Q) * dFQ * alpha
+    dQ = kern.derivative(Q) * dFQ
     dK = kern.derivative(K) * dFK
 
     d = V.shape[1]
@@ -251,6 +249,22 @@ def diag_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSp
         dQ[start:stop] = linalg.matmul(dSb, Kb) * alpha
         dK[start:stop] = linalg.matmul(linalg.transpose(dSb), Qb) * alpha
     return dQ, dK, dV
+
+
+def backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
+    """(dQ, dK, dV) through the mechanism named by spec.mechanism.
+
+    The only place that picks a backward by mechanism name.  Like
+    attention.forward, it looks each backward up in this module's globals at
+    call time, so a replaced module attribute sees every call.
+    """
+    if spec.mechanism == "vanilla":
+        return vanilla_backward(Q, K, V, dO, spec)
+    if spec.mechanism == "linear":
+        return linear_scaled_backward(Q, K, V, dO, spec)[:3]
+    if spec.mechanism == "norm":
+        return norm_backward(Q, K, V, dO, spec)[:3]
+    return diag_backward(Q, K, V, dO, spec)
 
 
 def vanilla_report(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
@@ -462,14 +476,7 @@ def _stability_replica(spec: AttentionSpec, seed: int, steps: int, lr: float,
                 resid = yh - y
                 loss = float(np.mean(resid * resid))
                 dO = linalg.matmul(2.0 * resid / resid.size, linalg.transpose(wr))
-                if spec.mechanism == "vanilla":
-                    dQ, dK, dV = vanilla_backward(Q, K, V, dO, spec)
-                elif spec.mechanism == "linear":
-                    dQ, dK, dV, _ = linear_scaled_backward(Q, K, V, dO, spec)
-                elif spec.mechanism == "norm":
-                    dQ, dK, dV, _ = norm_backward(Q, K, V, dO, spec)
-                else:
-                    dQ, dK, dV = diag_backward(Q, K, V, dO, spec)
+                dQ, dK, dV = backward(Q, K, V, dO, spec)
             except ZeroDenominatorError:
                 return math.inf
             gWq = linalg.matmul(linalg.transpose(X), dQ)

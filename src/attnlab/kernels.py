@@ -13,8 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import Matrix
-
 Scalar = Callable[[np.ndarray], np.ndarray]
 
 
@@ -105,13 +103,3 @@ def get_kernel(name: str) -> KernelFn:
     except KeyError:
         known = ", ".join(sorted(KERNELS))
         raise ValueError(f"unknown kernel {name!r}; choose one of: {known}") from None
-
-
-def apply_featuremap(kernel: KernelFn, m: Matrix) -> Matrix:
-    """Elementwise application of the kernel to a matrix."""
-    return kernel.apply(m)
-
-
-def derivative_of(kernel: KernelFn, x) -> np.ndarray:
-    """Analytic derivative, elementwise (right derivative at kinks)."""
-    return kernel.derivative(x)

@@ -20,22 +20,6 @@ _SM_MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
 
 
-def matrix(rows) -> Matrix:
-    """Build a float64 matrix from a nested sequence and validate its shape."""
-    m = np.array(rows, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return np.ascontiguousarray(m)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return np.zeros((rows, cols))
-
-
-def identity(n: int) -> Matrix:
-    return np.eye(n)
-
-
 # Accumulator slabs are kept around this size so they stay cache-resident.
 _MATMUL_BLOCK_BYTES = 4 << 20
 
@@ -80,27 +64,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return np.ascontiguousarray(m.T)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def scale(m: Matrix, c: float) -> Matrix:
-    return m * c
-
-
-def emap(m: Matrix, fn) -> Matrix:
-    """Elementwise map; fn must accept an ndarray and act elementwise."""
-    return fn(m)
 
 
 def row_sums(m: Matrix) -> np.ndarray:

@@ -17,8 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import grad, linalg
-from .attention import AttentionSpec, diag_forward, norm_forward, vanilla_forward
+from . import attention, grad, linalg
+from .attention import AttentionSpec
+# not called here: perfbench/tracer.py wraps these names on this module
+from .attention import diag_forward, norm_forward, vanilla_forward  # noqa: F401
 from .dilution import DilutionCurve, dilution_curve, scores_to_distribution
 from .linalg import Matrix
 
@@ -44,7 +46,8 @@ class ModelConfig:
     epsilon: float = 1e-5
     causal: bool = False
     seed: int = 7
-    attention_override: Optional[str] = None  # force "vanilla"/"diag"/"norm" everywhere
+    # run "vanilla", "diag" or "norm" in every layer; "linear" is rejected
+    attention_override: Optional[str] = None
     use_positional_embedding: bool = False
     max_len: int = 512
 
@@ -72,17 +75,13 @@ class ModelConfig:
         return "diag" if layer_index < self.n_early else "norm"
 
     def attention_spec(self, layer_index: int) -> AttentionSpec:
-        score_fn, kernel = VARIANTS[self.variant]
         mech = self.layer_mechanism(layer_index)
-        if mech == "diag":
-            return AttentionSpec("diag", block_size=self.block_size,
-                                 causal=self.causal, diag_score_fn=score_fn)
-        if mech == "norm":
-            return AttentionSpec("norm", kernel=kernel, causal=self.causal,
-                                 epsilon=self.epsilon)
-        if mech == "vanilla":
-            return AttentionSpec("vanilla", causal=self.causal)
-        raise ValueError(f"unsupported layer mechanism {mech!r}")
+        if mech == "linear":  # the normalized layers replace its rescaling
+            raise ValueError(f"unsupported layer mechanism {mech!r}")
+        score_fn, kernel = VARIANTS[self.variant]
+        return AttentionSpec(mech, kernel=kernel, block_size=self.block_size,
+                             causal=self.causal, epsilon=self.epsilon,
+                             diag_score_fn=score_fn)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -174,7 +173,10 @@ def _heads(m: Matrix, n_heads: int):
 def _attention_sublayer(a: Matrix, params: LayerParams, spec: AttentionSpec,
                         config: ModelConfig, collect_P: bool = False):
     """Multi-head attention on the normalized input; per-head slices share
-    the mechanism, head outputs concatenate before the output projection."""
+    the mechanism, head outputs concatenate before the output projection.
+
+    Returns (output, per-head maps, cache); the cache (Q, K, V, concatenated
+    head outputs, all n x d_model) is what the backward consumes."""
     Q = linalg.matmul(a, params.W_Q)
     K = linalg.matmul(a, params.W_K)
     V = linalg.matmul(a, params.W_V)
@@ -182,17 +184,12 @@ def _attention_sublayer(a: Matrix, params: LayerParams, spec: AttentionSpec,
     Ps = []
     for Qh, Kh, Vh in zip(_heads(Q, config.n_heads), _heads(K, config.n_heads),
                           _heads(V, config.n_heads)):
-        if spec.mechanism == "diag":
-            res = diag_forward(Qh, Kh, Vh, spec, reference=collect_P)
-        elif spec.mechanism == "norm":
-            res = norm_forward(Qh, Kh, Vh, spec, reference=collect_P)
-        else:
-            res = vanilla_forward(Qh, Kh, Vh, spec, reference=collect_P)
+        res = attention.forward(Qh, Kh, Vh, spec, reference=collect_P)
         outs.append(res.O)
         if collect_P:
             Ps.append(res.P)
     concat = np.concatenate(outs, axis=1)
-    return linalg.matmul(concat, params.W_O), Ps
+    return linalg.matmul(concat, params.W_O), Ps, (Q, K, V, concat)
 
 
 def layer_forward(x: Matrix, params: LayerParams, layer_index: int,
@@ -202,7 +199,7 @@ def layer_forward(x: Matrix, params: LayerParams, layer_index: int,
         raise ValueError(f"expected {config.d_model} columns, got {x.shape[1]}")
     spec = config.attention_spec(layer_index)
     a1 = linalg.row_rmsnorm(x, config.epsilon)
-    attn, Ps = _attention_sublayer(a1, params, spec, config, collect_P)
+    attn, Ps, _ = _attention_sublayer(a1, params, spec, config, collect_P)
     h = x + attn
     a2 = linalg.row_rmsnorm(h, config.epsilon)
     out = h + glu_ffn(a2, params)
@@ -259,20 +256,13 @@ def _layer_curve(Ps: list, config: ModelConfig, layer_index: int):
 # ---------------------------------------------------------------------------
 
 
-def _rmsnorm_input_backward(x: Matrix, d_out: Matrix, eps: float) -> Matrix:
-    return grad.rmsnorm_backward(x, d_out, eps)
-
-
 def _attention_sublayer_backward(a: Matrix, params: LayerParams,
                                  spec: AttentionSpec, config: ModelConfig,
-                                 d_out: Matrix):
-    Q = linalg.matmul(a, params.W_Q)
-    K = linalg.matmul(a, params.W_K)
-    V = linalg.matmul(a, params.W_V)
-    heads = list(zip(_heads(Q, config.n_heads), _heads(K, config.n_heads),
-                     _heads(V, config.n_heads)))
-    concat = np.concatenate(
-        [_head_forward(Qh, Kh, Vh, spec) for Qh, Kh, Vh in heads], axis=1)
+                                 cache, d_out: Matrix):
+    """Gradients of the attention sublayer from its forward cache."""
+    Q, K, V, concat = cache
+    heads = zip(_heads(Q, config.n_heads), _heads(K, config.n_heads),
+                _heads(V, config.n_heads))
     dW_O = linalg.matmul(linalg.transpose(concat), d_out)
     d_concat = linalg.matmul(d_out, linalg.transpose(params.W_O))
     hd = config.head_dim
@@ -281,12 +271,7 @@ def _attention_sublayer_backward(a: Matrix, params: LayerParams,
     dV = np.empty_like(V)
     for h, (Qh, Kh, Vh) in enumerate(heads):
         dOh = d_concat[:, h * hd:(h + 1) * hd]
-        if spec.mechanism == "diag":
-            dq, dk, dv = grad.diag_backward(Qh, Kh, Vh, dOh, spec)
-        elif spec.mechanism == "norm":
-            dq, dk, dv, _ = grad.norm_backward(Qh, Kh, Vh, dOh, spec)
-        else:
-            dq, dk, dv = grad.vanilla_backward(Qh, Kh, Vh, dOh, spec)
+        dq, dk, dv = grad.backward(Qh, Kh, Vh, dOh, spec)
         dQ[:, h * hd:(h + 1) * hd] = dq
         dK[:, h * hd:(h + 1) * hd] = dk
         dV[:, h * hd:(h + 1) * hd] = dv
@@ -302,30 +287,22 @@ def _attention_sublayer_backward(a: Matrix, params: LayerParams,
     return da, grads
 
 
-def _head_forward(Qh, Kh, Vh, spec: AttentionSpec) -> Matrix:
-    if spec.mechanism == "diag":
-        return diag_forward(Qh, Kh, Vh, spec).O
-    if spec.mechanism == "norm":
-        return norm_forward(Qh, Kh, Vh, spec).O
-    return vanilla_forward(Qh, Kh, Vh, spec).O
-
-
 def layer_backward(x: Matrix, params: LayerParams, layer_index: int,
                    config: ModelConfig, d_out: Matrix):
     """Gradient of <G, layer_forward(x)> w.r.t. x and all layer weights."""
     spec = config.attention_spec(layer_index)
     a1 = linalg.row_rmsnorm(x, config.epsilon)
-    attn, _ = _attention_sublayer(a1, params, spec, config)
+    attn, _, cache = _attention_sublayer(a1, params, spec, config)
     h = x + attn
     a2 = linalg.row_rmsnorm(h, config.epsilon)
 
     d_h = d_out.copy()
     d_a2, ffn_grads = glu_ffn_backward(a2, params, d_out)
-    d_h += _rmsnorm_input_backward(h, d_a2, config.epsilon)
+    d_h += grad.rmsnorm_backward(h, d_a2, config.epsilon)
 
     d_x = d_h.copy()
-    d_a1, attn_grads = _attention_sublayer_backward(a1, params, spec, config, d_h)
-    d_x += _rmsnorm_input_backward(x, d_a1, config.epsilon)
+    d_a1, attn_grads = _attention_sublayer_backward(a1, params, spec, config, cache, d_h)
+    d_x += grad.rmsnorm_backward(x, d_a1, config.epsilon)
 
     grads = {**attn_grads, **ffn_grads}
     return d_x, grads

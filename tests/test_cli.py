@@ -221,6 +221,18 @@ class TestPadForwardCommand:
         assert json.loads(out)["rows_out"] == 0
         assert cli.read_matrix_file(str(dst)).size == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, tmp_path, bad):
+        _, cfg_path = self._config(tmp_path)
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(f"1 {bad} 3 4 5 6 7 8\n1 2 3 4 5 6 7 8\n")
+        code = main(["pad-forward", "--input", str(src), "--out", str(dst),
+                     "--config", cfg_path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "non-finite" in err
+        assert not dst.exists()
+
     def test_missing_out_is_usage_error(self, capsys, tmp_path):
         cfg, cfg_path = self._config(tmp_path)
         src = tmp_path / "in.txt"
@@ -230,6 +242,18 @@ class TestPadForwardCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["pad-forward", "dilution"])
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"n_layers": 1, "n_early": 1, "bogus": 1}))
+        src = tmp_path / "in.txt"
+        cli.write_matrix_file(str(src), linalg.uniform(4, 32, seed=15))
+        code = main([command, "--config", str(cfg_path), "--input", str(src),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "bogus" in err
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])

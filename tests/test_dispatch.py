@@ -1,0 +1,68 @@
+"""Mechanism dispatch resolves at call time.
+
+attention.forward and grad.backward are the only places that pick a
+function by mechanism name.  Both look it up through module globals when
+called, so a replaced module attribute sees every call; perfbench's span
+tracer and its stability step counter rely on that.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from attnlab import attention, grad, linalg
+from attnlab.attention import MECHANISMS, AttentionSpec
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_traced_attribute_exists():
+    tracer = _load_tracer()
+    before = [getattr(module, attr) for module, attr, _ in tracer.TRACED]
+    with tracer.Tracer():
+        pass
+    assert [getattr(module, attr) for module, attr, _ in tracer.TRACED] == before
+
+
+def test_stability_runs_one_forward_per_step(monkeypatch):
+    calls = {}
+    inner = attention.forward
+
+    def counted(Q, K, V, spec, **kw):
+        calls[spec.mechanism] = calls.get(spec.mechanism, 0) + 1
+        return inner(Q, K, V, spec, **kw)
+
+    monkeypatch.setattr(attention, "forward", counted)
+    specs = grad.default_stability_specs()
+    grad.grad_stability_experiment(specs, steps=3, replicas=1)
+    assert calls == {s.mechanism: 3 for s in specs}
+
+
+def test_backward_looks_up_at_call_time(monkeypatch):
+    sentinel = tuple(np.full((2, 2), float(i)) for i in range(4))
+    monkeypatch.setattr(grad, "norm_backward", lambda *args, **kw: sentinel)
+    Q = np.zeros((2, 2))
+    out = grad.backward(Q, Q, Q, Q, AttentionSpec("norm"))
+    assert len(out) == 3
+    assert all(a is b for a, b in zip(out, sentinel[:3]))
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+@pytest.mark.parametrize("causal", [False, True])
+def test_backward_equals_mechanism_backward(mech, causal):
+    Q, K, V, dO = (linalg.uniform(8, 4, seed=s) for s in (1, 2, 3, 4))
+    spec = AttentionSpec(mech, block_size=4, causal=causal)
+    direct = {"vanilla": grad.vanilla_backward, "linear": grad.linear_scaled_backward,
+              "norm": grad.norm_backward, "diag": grad.diag_backward}[mech]
+    want = direct(Q, K, V, dO, spec)[:3]
+    got = grad.backward(Q, K, V, dO, spec)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -199,6 +199,24 @@ class TestLayerBackward:
             err = grad.finite_diff_check(fwd, named, {"x": dx, **grads}, d_out)
             assert err <= 1e-6, cfg
 
+    @pytest.mark.parametrize("n_early", [1, 0], ids=["diag", "norm"])
+    def test_runs_each_head_forward_once(self, monkeypatch, n_early):
+        from attnlab import attention
+        cfg = ModelConfig(n_layers=1, n_early=n_early, d_model=8, n_heads=2,
+                          block_size=4, glu_dim=12, variant="t2", seed=13)
+        calls = []
+        inner = attention.forward
+
+        def counted(Q, K, V, spec, **kw):
+            calls.append(spec.mechanism)
+            return inner(Q, K, V, spec, **kw)
+
+        monkeypatch.setattr(attention, "forward", counted)
+        x = linalg.uniform(8, 8, seed=61)
+        model.layer_backward(x, model.init_layer(cfg, 0), 0, cfg,
+                             linalg.uniform(8, 8, seed=62))
+        assert calls == [cfg.layer_mechanism(0)] * cfg.n_heads
+
 
 class TestWeightsContainer:
     def test_round_trip_bitwise(self, tmp_path):
