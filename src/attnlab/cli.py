@@ -9,13 +9,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -377,17 +376,33 @@ def _resolve_seed(args) -> int:
 
 
 def _load_config_file(args) -> dict:
-    """Model config keys from --config; unknown keys are a usage error."""
-    if not getattr(args, "config", None):
+    """Model config keys from --config; an unknown key or a value of the wrong
+    JSON type is a usage error."""
+    if not args.config:
         return {}
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
-    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(model.ModelConfig)})
+    types = get_type_hints(model.ModelConfig)
+    unknown = sorted(set(cfg) - set(types))
     if unknown:
         raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+    for key, value in cfg.items():
+        kind = types[key]
+        if not _config_type_ok(kind, value):
+            name = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
+            raise ValueError(f"{args.config}: config key {key!r} must be {name}, "
+                             f"got {json.dumps(value)}")
     return cfg
+
+
+def _config_type_ok(kind, value) -> bool:
+    if isinstance(value, bool):  # JSON true/false; bool subclasses int
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)  # kind may be Optional[str]
 
 
 def cmd_verify(args) -> int:
@@ -439,35 +454,21 @@ def cmd_dilution(args) -> int:
     else:
         n, d = args.n, args.d
         X = linalg.uniform(n, d, linalg.split_seed(seed, 1))
-    written = {}
     curves = {}
     mechanisms = args.mechanisms.split(",")
     for mech in mechanisms:
         Q = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 2), std=1 / math.sqrt(d)))
         K = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 3), std=1 / math.sqrt(d)))
         V = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 4), std=1 / math.sqrt(d)))
-        spec = AttentionSpec(mech, kernel=args.kernel, block_size=args.block_size or 64,
-                             causal=args.causal, epsilon=args.epsilon or 1e-5)
+        spec = AttentionSpec(mech, kernel=args.kernel, block_size=args.block_size,
+                             causal=args.causal, epsilon=args.epsilon)
         P = attention.forward(Q, K, V, spec, reference=True).P
         if mech == "norm":
             P = dilution.scores_to_distribution(P)  # raw scores, not stochastic
-        curve = dilution.dilution_curve(P)
-        curves[mech] = curve
-        path = os.path.join(outdir, f"dilution_{mech}.csv")
-        with open(path, "w") as fh:
-            fh.write(curve.to_csv())
-        written[mech] = path
-    areas = {}
-    names = [m for m in mechanisms if m in curves]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            areas[f"{a}_minus_{b}"] = dilution.compare_curves(curves[a], curves[b])
-    _emit({"command": "dilution",
-           "config": {"mechanisms": args.mechanisms, "n": n, "d": d, "seed": seed,
-                      "block_size": args.block_size or 64, "input": args.input},
-           "files": written,
-           "signed_areas": areas}, None)
-    return 0
+        curves[mech] = dilution.dilution_curve(P)
+    return _emit_curves(curves, mechanisms, outdir,
+                        {"mechanisms": args.mechanisms, "n": n, "d": d, "seed": seed,
+                         "block_size": args.block_size, "input": args.input})
 
 
 def _dilution_from_model(args, seed: int, outdir: str) -> int:
@@ -478,23 +479,25 @@ def _dilution_from_model(args, seed: int, outdir: str) -> int:
     else:
         X = linalg.uniform(args.n, config.d_model, linalg.split_seed(seed, 1))
     _, diag = model.model_forward(X, config, collect_diagnostics=True)
+    curves = {f"layer{i}_{config.layer_mechanism(i)}": curve
+              for i, curve in enumerate(diag.dilution_curves)}
+    return _emit_curves(curves, sorted(curves), outdir,
+                        json.loads(config.to_json()) | {"seed": seed, "n": X.shape[0]})
+
+
+def _emit_curves(curves: dict, order: Sequence[str], outdir: str, config: dict) -> int:
+    """Write one CSV per curve and emit the signed area of each pair in `order`."""
     written = {}
-    curves = {}
-    for i, curve in enumerate(diag.dilution_curves):
-        name = f"layer{i}_{config.layer_mechanism(i)}"
+    for name, curve in curves.items():
         path = os.path.join(outdir, f"dilution_{name}.csv")
         with open(path, "w") as fh:
             fh.write(curve.to_csv())
         written[name] = path
-        curves[name] = curve
-    names = sorted(curves)
     areas = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
             areas[f"{a}_minus_{b}"] = dilution.compare_curves(curves[a], curves[b])
-    _emit({"command": "dilution",
-           "config": json.loads(config.to_json()) | {"seed": seed, "n": X.shape[0]},
-           "files": written,
+    _emit({"command": "dilution", "config": config, "files": written,
            "signed_areas": areas}, None)
     return 0
 
@@ -527,10 +530,10 @@ def cmd_bench(args) -> int:
 
 def cmd_stability(args) -> int:
     seed = _resolve_seed(args)
-    # the experiment is non-causal with 64-row blocks: --causal and
-    # --block-size do not apply here
-    specs = [AttentionSpec(mech, kernel=args.kernel, block_size=64, causal=False,
-                           epsilon=args.epsilon or 1e-4)
+    # the experiment is non-causal; its n=32 rows must be a multiple of the
+    # diag block size
+    specs = [AttentionSpec(mech, kernel=args.kernel, block_size=8, causal=False,
+                           epsilon=args.epsilon)
              for mech in args.mechanisms.split(",")]
     report = grad.grad_stability_experiment(specs, steps=args.steps, seed=seed,
                                             learning_rate=args.lr)
@@ -587,49 +590,56 @@ def cmd_pad_forward(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Flags that several subcommands share; each subparser declares only the ones
+# its command reads, so passing any other is a usage error.
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, help="root seed (or ATTNLAB_SEED env var; default 7)"),
+    "--n": dict(type=int),
+    "--d": dict(type=int),
+    "--heads": dict(type=int),
+    "--block-size": dict(type=int, dest="block_size"),
+    "--epsilon": dict(type=float),
+    "--kernel": dict(default="1+elu", choices=sorted(kernels.KERNELS)),
+    "--variant": dict(choices=("t1", "t2")),
+    "--causal": dict(action="store_true"),
+    "--out": dict(),
+    "--config": dict(help="JSON config file"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attnlab",
         description="attention mechanisms: verification, reports, benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="root seed (or ATTNLAB_SEED env var; default 7)")
-        p.add_argument("--n", type=int, default=32)
-        p.add_argument("--d", type=int, default=8)
-        p.add_argument("--heads", type=int, default=None)
-        p.add_argument("--block-size", type=int, default=None, dest="block_size")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--kernel", default="1+elu",
-                       choices=sorted(kernels.KERNELS))
-        p.add_argument("--variant", choices=("t1", "t2"), default=None)
-        p.add_argument("--causal", action="store_true")
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None, help="JSON config file")
-
     p = sub.add_parser("verify", help="run the property suites")
-    common(p)
+    _add_shared(p, "--seed", "--out")
     p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("adversarial", help="map-Jacobian blow-up instance")
-    common(p)
+    _add_shared(p, "--seed", "--n", "--d", "--kernel", "--out")
     p.add_argument("--x0sq", type=float, default=1e-6,
                    help="squared norm of the shared feature vector")
     p.add_argument("--sweep", action="store_true")
-    p.set_defaults(fn=cmd_adversarial, n=4)
-    p.set_defaults(d=4)
+    p.set_defaults(fn=cmd_adversarial, n=4, d=4)
 
     p = sub.add_parser("dilution", help="write locality curves as CSV")
-    common(p)
+    _add_shared(p, "--seed", "--n", "--d", "--block-size", "--epsilon", "--kernel",
+                "--causal", "--out", "--config")
     p.add_argument("--mechanisms", default="vanilla,linear,diag")
     p.add_argument("--input", default=None,
                    help="whitespace-separated matrix file (else seeded random)")
-    p.set_defaults(fn=cmd_dilution, n=64, d=16, block_size=8)
+    p.set_defaults(fn=cmd_dilution, n=64, d=16, block_size=8, epsilon=1e-5)
 
     p = sub.add_parser("bench", help="scaling benchmark, CSV output")
-    common(p)
+    _add_shared(p, "--seed", "--d", "--out")
     p.add_argument("--lengths", default="1024,2048,3072,4096,5120")
     p.add_argument("--mechanisms", default="vanilla,norm,diag")
     p.add_argument("--reps", type=int, default=5)
@@ -638,14 +648,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench, d=16)
 
     p = sub.add_parser("stability", help="gradient-stability experiment")
-    common(p)
+    _add_shared(p, "--seed", "--kernel", "--epsilon", "--out")
     p.add_argument("--mechanisms", default="vanilla,linear,norm")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.25)
-    p.set_defaults(fn=cmd_stability)
+    p.set_defaults(fn=cmd_stability, epsilon=1e-4)
 
     p = sub.add_parser("pad-forward", help="zero-pad, run the model, strip padding")
-    common(p)
+    _add_shared(p, "--seed", "--heads", "--block-size", "--epsilon", "--variant",
+                "--causal", "--out", "--config")
     p.add_argument("--input", required=True)
     p.set_defaults(fn=cmd_pad_forward)
     return parser

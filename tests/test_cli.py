@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -177,6 +179,12 @@ class TestStabilityCommand:
         payload = json.loads(out)
         assert set(payload["rsd"]) == {"vanilla", "linear", "norm"}
 
+    def test_diag_blocks_divide_experiment_length(self, capsys):
+        code, out = run_cli(capsys, "stability", "--mechanisms", "diag",
+                            "--steps", "3")
+        assert code == 0
+        assert json.loads(out)["rsd"]["diag"] >= 0.0
+
 
 class TestPadForwardCommand:
     def _config(self, tmp_path, causal=True):
@@ -241,6 +249,21 @@ class TestPadForwardCommand:
         assert code == 2
 
 
+# Shared flags that each subcommand does not read; passing one is a usage error.
+UNREAD_FLAGS = {
+    "verify": ["--n 4", "--d 4", "--heads 2", "--block-size 4", "--epsilon 1e-5",
+               "--kernel relu", "--variant t1", "--causal", "--config c.json"],
+    "adversarial": ["--heads 2", "--block-size 4", "--epsilon 1e-5", "--variant t1",
+                    "--causal", "--config c.json"],
+    "dilution": ["--heads 2", "--variant t1"],
+    "bench": ["--n 4", "--heads 2", "--block-size 4", "--epsilon 1e-5",
+              "--kernel relu", "--variant t1", "--causal", "--config c.json"],
+    "stability": ["--n 4", "--d 4", "--heads 2", "--block-size 4", "--variant t1",
+                  "--causal", "--config c.json"],
+    "pad-forward": ["--n 4", "--d 4", "--kernel relu"],
+}
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["pad-forward", "dilution"])
     def test_unknown_config_key_exits_2(self, capsys, tmp_path, command):
@@ -254,6 +277,41 @@ class TestUsageErrors:
         assert code == 2
         assert err.count("\n") == 1 and "bogus" in err
 
+    @pytest.mark.parametrize("command", ["pad-forward", "dilution"])
+    @pytest.mark.parametrize("entry", [
+        {"n_layers": "2"}, {"n_heads": True}, {"epsilon": "1e-5"},
+        {"causal": 1}, {"variant": 2}, {"attention_override": 3}],
+        ids=lambda entry: next(iter(entry)))
+    def test_wrong_config_type_exits_2(self, capsys, tmp_path, command, entry):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(entry))
+        src = tmp_path / "in.txt"
+        cli.write_matrix_file(str(src), linalg.uniform(4, 32, seed=15))
+        code = main([command, "--config", str(cfg_path), "--input", str(src),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and repr(next(iter(entry))) in err
+
+    @pytest.mark.parametrize("command,flag", [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, flags in UNREAD_FLAGS.items() for flag in flags])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        base = ["--input", "x.txt", "--out", "y.txt"] if command == "pad-forward" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, *flag.split()])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dilution", "--epsilon", "0"], ["dilution", "--block-size", "0"],
+        ["stability", "--epsilon", "0"]], ids=" ".join)
+    def test_explicit_zero_reaches_validation(self, capsys, tmp_path, argv):
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
@@ -263,3 +321,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestReadme:
+    def test_every_documented_command_parses(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line for line in readme.read_text().splitlines()
+                 if line.startswith("attnlab ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
