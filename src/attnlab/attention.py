@@ -54,8 +54,8 @@ class AttentionSpec:
             raise ValueError(f"unknown diag score fn {self.diag_score_fn!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and > 0")
         if self.mechanism == "linear" and not self.kernel_fn.nonnegative:
             raise ValueError(
                 f"linear (rescaled) attention needs a non-negative kernel, got {self.kernel!r}")
@@ -86,19 +86,39 @@ def _causal_zero(S: Matrix) -> Matrix:
     return S * np.tri(S.shape[0], S.shape[1])
 
 
-def vanilla_forward(Q: Matrix, K: Matrix, V: Matrix, spec: Optional[AttentionSpec] = None,
-                    *, reference: bool = False) -> AttentionOutput:
-    """Softmax attention; the quadratic matrix is inherent to the mechanism."""
-    spec = spec or AttentionSpec("vanilla")
-    _check_shapes(Q, K, V)
-    d = Q.shape[1]
+def _tile(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
+          score_fn: str) -> tuple[Matrix, Matrix]:
+    """(O, P) of softmax-family attention over one square tile: scores divided
+    by sqrt(d) when spec.scaled, masked when spec.causal, then normalized by
+    row softmax or rela_scores."""
     S = linalg.matmul(Q, linalg.transpose(K))
     if spec.scaled:
-        S = S / np.sqrt(d)
+        S = S / np.sqrt(Q.shape[1])
     if spec.causal:
-        S = _causal_neg_inf(S)
-    P = linalg.row_softmax(S)
-    O = linalg.matmul(P, V)
+        S = _causal_neg_inf(S) if score_fn == "softmax" else _causal_zero(S)
+    P = linalg.row_softmax(S) if score_fn == "softmax" else rela_scores(S)
+    return linalg.matmul(P, V), P
+
+
+def _feature_scores(Q: Matrix, K: Matrix, kernel: KernelFn,
+                    causal: bool) -> tuple[Matrix, Matrix, Matrix]:
+    """(phi(Q), phi(K), S = phi(Q) phi(K)^T), S zeroed above the diagonal
+    when causal: the score step of the kernel family."""
+    FQ = kernel.apply(Q)
+    FK = kernel.apply(K)
+    S = linalg.matmul(FQ, linalg.transpose(FK))
+    if causal:
+        S = _causal_zero(S)
+    return FQ, FK, S
+
+
+def vanilla_forward(Q: Matrix, K: Matrix, V: Matrix, spec: Optional[AttentionSpec] = None,
+                    *, reference: bool = False) -> AttentionOutput:
+    """Softmax attention, one tile of all n rows; spec.diag_score_fn is not
+    read.  The quadratic matrix is inherent to the mechanism."""
+    spec = spec or AttentionSpec("vanilla")
+    _check_shapes(Q, K, V)
+    O, P = _tile(Q, K, V, spec, "softmax")
     return AttentionOutput(O=O, P=P if reference else None)
 
 
@@ -112,16 +132,14 @@ def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     """
     _check_shapes(Q, K, V)
     kern = spec.kernel_fn
-    FQ = kern.apply(Q)
-    FK = kern.apply(K)
     if reference:
-        S = linalg.matmul(FQ, linalg.transpose(FK))
-        if spec.causal:
-            S = _causal_zero(S)
+        _, _, S = _feature_scores(Q, K, kern, spec.causal)
         z = linalg.row_sums(S)
         _check_denominator(z)
         P = S / z[:, None]
         return AttentionOutput(O=linalg.matmul(P, V), P=P)
+    FQ = kern.apply(Q)
+    FK = kern.apply(K)
     if spec.causal:
         return AttentionOutput(O=_linear_causal(FQ, FK, V, normalize=True))
     ksum = FK.sum(axis=0)[:, None]  # d x 1
@@ -141,14 +159,12 @@ def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     """
     _check_shapes(Q, K, V)
     kern = spec.kernel_fn
-    FQ = kern.apply(Q)
-    FK = kern.apply(K)
     if reference:
-        S = linalg.matmul(FQ, linalg.transpose(FK))
-        if spec.causal:
-            S = _causal_zero(S)
+        _, _, S = _feature_scores(Q, K, kern, spec.causal)
         T = linalg.matmul(S, V)
         return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon), P=S)
+    FQ = kern.apply(Q)
+    FK = kern.apply(K)
     if spec.causal:
         T = _linear_causal(FQ, FK, V, normalize=False)
     else:
@@ -196,31 +212,17 @@ def diag_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     caller's job.  Tokens never attend across blocks.
     """
     _check_shapes(Q, K, V)
-    n, d = Q.shape
+    n = Q.shape[0]
     w = spec.block_size
     if n % w != 0:
         raise ValueError(f"sequence length {n} is not a multiple of block size {w}")
     O = np.empty((n, V.shape[1]))
     P_full = np.zeros((n, n)) if reference else None
     for start in range(0, n, w):
-        stop = start + w
-        Qb = linalg.row_block(Q, start, stop)
-        Kb = linalg.row_block(K, start, stop)
-        Vb = linalg.row_block(V, start, stop)
-        Sb = linalg.matmul(Qb, linalg.transpose(Kb))
-        if spec.scaled:
-            Sb = Sb / np.sqrt(d)
-        if spec.diag_score_fn == "softmax":
-            if spec.causal:
-                Sb = _causal_neg_inf(Sb)
-            Pb = linalg.row_softmax(Sb)
-        else:
-            if spec.causal:
-                Sb = _causal_zero(Sb)
-            Pb = rela_scores(Sb)
-        O[start:stop] = linalg.matmul(Pb, Vb)
+        b = slice(start, start + w)
+        O[b], Pb = _tile(Q[b], K[b], V[b], spec, spec.diag_score_fn)
         if P_full is not None:
-            P_full[start:stop, start:stop] = Pb
+            P_full[b, b] = Pb
     return AttentionOutput(O=O, P=P_full)
 
 

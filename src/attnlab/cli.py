@@ -64,9 +64,7 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         n = 2 + s % 7
         d = 1 + (s >> 8) % 4
         Q, K, V = _seeded_qkv(s, n, d)
-        spec = AttentionSpec("linear", kernel="1+elu")
-        kern = spec.kernel_fn
-        S = linalg.matmul(kern.apply(Q), linalg.transpose(kern.apply(K)))
+        _, _, S = attention._feature_scores(Q, K, kernels.get_kernel("1+elu"), causal=False)
         P = S / linalg.row_sums(S)[:, None]
         J = grad.unified_dp_ds(P, S, kernels.get_kernel("identity"))
         c3 = float(np.min(np.abs(S)))

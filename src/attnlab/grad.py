@@ -69,25 +69,17 @@ def unified_dp_ds(P: Matrix, S: Matrix, kernel: KernelFn) -> np.ndarray:
 
     Zero f(s_ik) values yield non-finite entries rather than an exception so
     callers can flag them in reports.  Dense storage is capped at
-    DENSE_JACOBIAN_MAX_N rows; use dp_ds_contract for larger instances.
+    DENSE_JACOBIAN_MAX_N rows.
     """
     n = P.shape[0]
     if n > DENSE_JACOBIAN_MAX_N:
-        raise ValueError(
-            f"dense Jacobian capped at n={DENSE_JACOBIAN_MAX_N}; use dp_ds_contract")
+        raise ValueError(f"dense Jacobian capped at n={DENSE_JACOBIAN_MAX_N}")
     g = _prefactor(S, kernel)
     J = np.empty((n, n, n))
     for i in range(n):
         p = P[i]
         J[i] = (np.diag(p) - np.outer(p, p)) * g[i][None, :]
     return J
-
-
-def dp_ds_contract(P: Matrix, S: Matrix, kernel: KernelFn, dP: Matrix) -> Matrix:
-    """Matrix-free contraction dS_ik = sum_j dP_ij * (d p_ij / d s_ik)."""
-    g = _prefactor(S, kernel)
-    inner = np.sum(dP * P, axis=1, keepdims=True)
-    return (dP - inner) * P * g
 
 
 def _prefactor(S: Matrix, kernel: KernelFn) -> Matrix:
@@ -117,19 +109,42 @@ def rmsnorm_backward(T: Matrix, dO: Matrix, eps: float) -> Matrix:
 def vanilla_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
                      spec: Optional[AttentionSpec] = None):
     """Gradients of L through softmax attention given dL/dO."""
-    spec = spec or AttentionSpec("vanilla")
-    d = Q.shape[1]
-    alpha = 1.0 / math.sqrt(d) if spec.scaled else 1.0
+    return _tile_backward(Q, K, V, dO, spec or AttentionSpec("vanilla"), "softmax")
+
+
+def _tile_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec,
+                   score_fn: str):
+    """(dQ, dK, dV) through one softmax-family tile, attention._tile."""
+    alpha = 1.0 / math.sqrt(Q.shape[1]) if spec.scaled else 1.0
     S = linalg.matmul(Q, linalg.transpose(K)) * alpha
     if spec.causal:
-        S = attention._causal_neg_inf(S)
-    P = linalg.row_softmax(S)
-    dV = linalg.matmul(linalg.transpose(P), dO)
+        S = attention._causal_neg_inf(S) if score_fn == "softmax" else attention._causal_zero(S)
     dP = linalg.matmul(dO, linalg.transpose(V))
-    dS = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+    if score_fn == "softmax":
+        P = linalg.row_softmax(S)
+        dS = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+    else:
+        R = np.maximum(S, 0.0)
+        z = R.sum(axis=1, keepdims=True) + attention.RELA_EPS
+        P = R / z
+        dS = (dP - np.sum(dP * P, axis=1, keepdims=True)) / z * np.where(S >= 0, 1.0, 0.0)
+        if spec.causal:
+            dS = attention._causal_zero(dS)
     dQ = linalg.matmul(dS, K) * alpha
     dK = linalg.matmul(linalg.transpose(dS), Q) * alpha
-    return dQ, dK, dV
+    return dQ, dK, linalg.matmul(linalg.transpose(P), dO)
+
+
+def _feature_grads(dS: Matrix, Q: Matrix, K: Matrix, FQ: Matrix, FK: Matrix,
+                   spec: AttentionSpec):
+    """(masked dS, dQ, dK) from dL/dS of S = phi(Q) phi(K)^T: the backward
+    tail of attention._feature_scores."""
+    if spec.causal:
+        dS = attention._causal_zero(dS)
+    kern = spec.kernel_fn
+    dQ = linalg.matmul(dS, FK) * kern.derivative(Q)
+    dK = linalg.matmul(linalg.transpose(dS), FQ) * kern.derivative(K)
+    return dS, dQ, dK
 
 
 def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
@@ -137,26 +152,16 @@ def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
                            with_fd: bool = False):
     """Gradients through rescaled kernelized attention, plus a bound report."""
     spec = spec or AttentionSpec("linear")
-    kern = spec.kernel_fn
-    FQ = kern.apply(Q)
-    FK = kern.apply(K)
-    S = linalg.matmul(FQ, linalg.transpose(FK))
-    mask = np.tri(S.shape[0]) if spec.causal else None
-    if mask is not None:
-        S = S * mask
+    FQ, FK, S = attention._feature_scores(Q, K, spec.kernel_fn, spec.causal)
     z = linalg.row_sums(S)
     attention._check_denominator(z)
     P = S / z[:, None]
     dV = linalg.matmul(linalg.transpose(P), dO)
     dP = linalg.matmul(dO, linalg.transpose(V))
     dS = (dP - np.sum(dP * P, axis=1, keepdims=True)) / z[:, None]
-    if mask is not None:
-        dS = dS * mask
-    dFQ = linalg.matmul(dS, FK)
-    dFK = linalg.matmul(linalg.transpose(dS), FQ)
-    dQ = kern.derivative(Q) * dFQ
-    dK = kern.derivative(K) * dFK
+    dS, dQ, dK = _feature_grads(dS, Q, K, FQ, FK, spec)
 
+    mask = np.tri(S.shape[0]) if spec.causal else None
     c1 = linalg.row_norm_max(dO)
     c2 = linalg.row_norm_max(V)
     c3 = _min_abs_active(S, mask)
@@ -175,25 +180,14 @@ def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
 def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
                   spec: AttentionSpec, *, with_fd: bool = False):
     """Gradients through normalized (non-rescaled) kernelized attention."""
-    kern = spec.kernel_fn
     eps = spec.epsilon
-    FQ = kern.apply(Q)
-    FK = kern.apply(K)
-    S = linalg.matmul(FQ, linalg.transpose(FK))
-    mask = np.tri(S.shape[0]) if spec.causal else None
-    if mask is not None:
-        S = S * mask
+    FQ, FK, S = attention._feature_scores(Q, K, spec.kernel_fn, spec.causal)
     T = linalg.matmul(S, V)
     dT = rmsnorm_backward(T, dO, eps)
-    dS = linalg.matmul(dT, linalg.transpose(V))
-    if mask is not None:
-        dS = dS * mask
     dV = linalg.matmul(linalg.transpose(S), dT)
-    dFQ = linalg.matmul(dS, FK)
-    dFK = linalg.matmul(linalg.transpose(dS), FQ)
-    dQ = kern.derivative(Q) * dFQ
-    dK = kern.derivative(K) * dFK
+    dS, dQ, dK = _feature_grads(linalg.matmul(dT, linalg.transpose(V)), Q, K, FQ, FK, spec)
 
+    mask = np.tri(S.shape[0]) if spec.causal else None
     d = V.shape[1]
     c1 = linalg.row_norm_max(dO)
     c2 = linalg.row_norm_max(V)
@@ -214,40 +208,17 @@ def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
 
 def diag_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
     """Gradients through block-diagonal attention (softmax or ReLU scores)."""
-    n, d = Q.shape
+    n = Q.shape[0]
     w = spec.block_size
     if n % w != 0:
         raise ValueError(f"sequence length {n} is not a multiple of block size {w}")
-    alpha = 1.0 / math.sqrt(d) if spec.scaled else 1.0
     dQ = np.empty_like(Q)
     dK = np.empty_like(K)
     dV = np.empty_like(V)
     for start in range(0, n, w):
-        stop = start + w
-        Qb, Kb, Vb = Q[start:stop], K[start:stop], V[start:stop]
-        dOb = dO[start:stop]
-        Sb = linalg.matmul(Qb, linalg.transpose(Kb)) * alpha
-        if spec.diag_score_fn == "softmax":
-            if spec.causal:
-                Sb = attention._causal_neg_inf(Sb)
-            Pb = linalg.row_softmax(Sb)
-            dPb = linalg.matmul(dOb, linalg.transpose(Vb))
-            dSb = Pb * (dPb - np.sum(dPb * Pb, axis=1, keepdims=True))
-        else:
-            mask = np.tri(w) if spec.causal else None
-            if mask is not None:
-                Sb = Sb * mask
-            R = np.maximum(Sb, 0.0)
-            z = R.sum(axis=1, keepdims=True) + attention.RELA_EPS
-            Pb = R / z
-            dPb = linalg.matmul(dOb, linalg.transpose(Vb))
-            dR = (dPb - np.sum(dPb * Pb, axis=1, keepdims=True)) / z
-            dSb = dR * np.where(Sb >= 0, 1.0, 0.0)
-            if mask is not None:
-                dSb = dSb * mask
-        dV[start:stop] = linalg.matmul(linalg.transpose(Pb), dOb)
-        dQ[start:stop] = linalg.matmul(dSb, Kb) * alpha
-        dK[start:stop] = linalg.matmul(linalg.transpose(dSb), Qb) * alpha
+        b = slice(start, start + w)
+        dQ[b], dK[b], dV[b] = _tile_backward(Q[b], K[b], V[b], dO[b], spec,
+                                             spec.diag_score_fn)
     return dQ, dK, dV
 
 
@@ -363,8 +334,10 @@ def build_adversarial(n: int, d: int, x0_norm_sq: float,
     kernel componentwise so that every feature row equals x0.  All scores
     then equal x0_norm_sq and the attention weights are uniform 1/n.
     """
-    if x0_norm_sq <= 0:
-        raise ValueError("x0_norm_sq must be > 0")
+    if n < 2 or d < 1:
+        raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    if not 0 < x0_norm_sq < math.inf:
+        raise ValueError("x0_norm_sq must be finite and > 0")
     if kernel.inverse is None:
         raise ValueError(f"kernel {kernel.name!r} has no componentwise inverse")
     c = math.sqrt(x0_norm_sq / d)
@@ -377,9 +350,7 @@ def build_adversarial(n: int, d: int, x0_norm_sq: float,
 
 def adversarial_observed(inst: AdversarialInstance, kernel: KernelFn) -> float:
     """Largest diagonal |d p_ij / d s_ik| the instance actually achieves."""
-    FQ = kernel.apply(inst.Q)
-    FK = kernel.apply(inst.K)
-    S = linalg.matmul(FQ, linalg.transpose(FK))
+    _, _, S = attention._feature_scores(inst.Q, inst.K, kernel, causal=False)
     z = linalg.row_sums(S)
     P = S / z[:, None]
     J = unified_dp_ds(P, S, get_kernel("identity"))

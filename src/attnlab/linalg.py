@@ -70,12 +70,6 @@ def row_sums(m: Matrix) -> np.ndarray:
     return m.sum(axis=1)
 
 
-def row_block(m: Matrix, start: int, stop: int) -> Matrix:
-    if not (0 <= start <= stop <= m.shape[0]):
-        raise ValueError(f"row block [{start}, {stop}) out of range for {m.shape[0]} rows")
-    return m[start:stop]
-
-
 def row_softmax(m: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction.
 

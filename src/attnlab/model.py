@@ -54,12 +54,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
+        for name, low in (("n_layers", 0), ("n_early", 0), ("d_model", 1), ("n_heads", 1),
+                          ("block_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.n_early > self.n_layers:
             raise ValueError("n_early cannot exceed n_layers")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and > 0")
 
     @property
     def head_dim(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -264,6 +265,12 @@ UNREAD_FLAGS = {
 }
 
 
+def _usage_case(*argv, config=None):
+    """A (argv, config) case named by its flags and the config's JSON."""
+    name = " ".join(argv) + ("" if config is None else " config " + json.dumps(config))
+    return pytest.param(list(argv), config, id=name)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["pad-forward", "dilution"])
     def test_unknown_config_key_exits_2(self, capsys, tmp_path, command):
@@ -311,6 +318,50 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @staticmethod
+    def _run_usage_error(capsys, tmp_path, argv, config):
+        if argv[0] == "pad-forward":
+            src = tmp_path / "in.txt"
+            cli.write_matrix_file(str(src), linalg.uniform(4, 32, seed=15))
+            argv = [*argv, "--input", str(src)]
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg_path)]
+        if argv[0] != "adversarial":
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,config", [
+        _usage_case("stability", "--mechanisms", "norm", "--epsilon", "nan", "--steps", "3"),
+        _usage_case("stability", "--mechanisms", "norm", "--epsilon", "inf", "--steps", "3"),
+        _usage_case("dilution", "--epsilon", "nan"),
+        _usage_case("pad-forward", "--epsilon", "nan"),
+        _usage_case("pad-forward", config={"epsilon": math.nan}),
+        _usage_case("dilution", config={"epsilon": math.inf}),
+        _usage_case("adversarial", "--x0sq", "nan"),
+        _usage_case("adversarial", "--x0sq", "inf")])
+    def test_non_finite_value_exits_2(self, capsys, tmp_path, argv, config):
+        self._run_usage_error(capsys, tmp_path, argv, config)
+
+    @pytest.mark.parametrize("argv,config", [
+        _usage_case("pad-forward", "--heads", "0"),
+        _usage_case("pad-forward", "--block-size", "0"),
+        _usage_case("pad-forward", config={"n_heads": 0}),
+        _usage_case("pad-forward", config={"d_model": 0}),
+        _usage_case("pad-forward", config={"block_size": 0}),
+        _usage_case("pad-forward", config={"n_layers": -1, "n_early": -1}),
+        _usage_case("pad-forward", config={"n_early": -1}),
+        _usage_case("dilution", config={"n_heads": 0}),
+        _usage_case("adversarial", "--n", "1"),
+        _usage_case("adversarial", "--n", "0"),
+        _usage_case("adversarial", "--d", "0")])
+    def test_out_of_range_size_exits_2(self, capsys, tmp_path, argv, config):
+        self._run_usage_error(capsys, tmp_path, argv, config)
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,15 @@
-"""Mechanism dispatch resolves at call time.
+"""Mechanism dispatch resolves at call time, and perfbench's workloads run.
 
 attention.forward and grad.backward are the only places that pick a
 function by mechanism name.  Both look it up through module globals when
 called, so a replaced module attribute sees every call; perfbench's span
-tracer and its stability step counter rely on that.
+tracer and its stability step counter rely on that.  The benchmark calls
+attnlab by name, signature and return shape; the workload check below runs
+each workload's warm-up and finite-difference probes against this tree.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +18,19 @@ import pytest
 from attnlab import attention, grad, linalg
 from attnlab.attention import MECHANISMS, AttentionSpec
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look it up
     spec.loader.exec_module(mod)
     return mod
 
 
-def test_every_traced_attribute_exists():
-    tracer = _load_tracer()
+def test_every_traced_attribute_exists(monkeypatch):
+    tracer = _load_perfbench(monkeypatch, "tracer")
     before = [getattr(module, attr) for module, attr, _ in tracer.TRACED]
     with tracer.Tracer():
         pass
@@ -66,3 +70,20 @@ def test_backward_equals_mechanism_backward(mech, causal):
     want = direct(Q, K, V, dO, spec)[:3]
     got = grad.backward(Q, K, V, dO, spec)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["long-seq", "model-step", "lab-small"])
+def test_perfbench_workload_runs(monkeypatch, name):
+    # workloads.py imports its sibling oracle.py as a top-level module
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = _load_perfbench(monkeypatch, "workloads")
+        workload = workloads.WORKLOADS[name](1)
+        assert workload.ops()
+        workload.warm_up()
+        probes = workload.probes()
+        failed = [probe_name for probe_name, probe in probes
+                  if not workloads.fd_passes(*probe())]
+    finally:
+        sys.modules.pop("oracle", None)
+    assert failed == []

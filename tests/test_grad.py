@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from attnlab import grad, linalg
-from attnlab.attention import AttentionSpec, diag_forward, forward
+from attnlab.attention import AttentionSpec, diag_forward, forward, vanilla_forward
 from attnlab.kernels import get_kernel
 
 
@@ -57,17 +57,6 @@ class TestUnifiedJacobian:
         P = np.full((n, n), 1.0 / n)
         with pytest.raises(ValueError):
             grad.unified_dp_ds(P, np.ones((n, n)), get_kernel("identity"))
-
-    def test_contract_matches_dense(self):
-        Q, K, _ = seeded_qkv(52, 6, 3)
-        kern = get_kernel("1+elu")
-        S = linalg.matmul(kern.apply(Q), linalg.transpose(kern.apply(K)))
-        P = S / linalg.row_sums(S)[:, None]
-        dP = linalg.uniform(6, 6, seed=53)
-        J = grad.unified_dp_ds(P, S, get_kernel("identity"))
-        want = np.stack([dP[i] @ J[i] for i in range(6)])
-        got = grad.dp_ds_contract(P, S, get_kernel("identity"), dP)
-        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_zero_score_flags_nonfinite(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -239,6 +228,39 @@ class TestDiagBackward:
             {"Q": Q.copy(), "K": K.copy(), "V": V.copy()},
             {"Q": dQ, "K": dK, "V": dV}, dO)
         assert err <= 1e-6
+
+
+class TestSoftmaxTile:
+    """vanilla is diag's one-block case, bit for bit, and reads no score fn."""
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_vanilla_is_one_diag_block(self, d, causal):
+        n = 12
+        Q, K, V = seeded_qkv(60 + d, n, d)
+        dO = linalg.uniform(n, d, seed=61 + d)
+        vspec = AttentionSpec("vanilla", causal=causal)
+        dspec = AttentionSpec("diag", block_size=n, causal=causal)
+        van = vanilla_forward(Q, K, V, vspec, reference=True)
+        dia = diag_forward(Q, K, V, dspec, reference=True)
+        assert np.array_equal(van.O, dia.O) and np.array_equal(van.P, dia.P)
+        for a, b in zip(grad.vanilla_backward(Q, K, V, dO, vspec),
+                        grad.diag_backward(Q, K, V, dO, dspec)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_vanilla_ignores_diag_score_fn(self, d, causal):
+        n = 12
+        Q, K, V = seeded_qkv(70 + d, n, d)
+        dO = linalg.uniform(n, d, seed=71 + d)
+        plain = AttentionSpec("vanilla", causal=causal)
+        rela = AttentionSpec("vanilla", causal=causal, diag_score_fn="rela")
+        a = forward(Q, K, V, plain, reference=True)
+        b = forward(Q, K, V, rela, reference=True)
+        assert np.array_equal(a.O, b.O) and np.array_equal(a.P, b.P)
+        for x, y in zip(grad.backward(Q, K, V, dO, plain), grad.backward(Q, K, V, dO, rela)):
+            assert np.array_equal(x, y)
 
 
 def _min_abs_block_score(Q, K, V, w):

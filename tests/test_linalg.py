@@ -175,12 +175,6 @@ class TestPlumbing:
         m = linalg.uniform(4, 7, seed=21)
         assert np.array_equal(linalg.transpose(linalg.transpose(m)), m)
 
-    def test_row_block(self):
-        m = linalg.uniform(6, 3, seed=22)
-        assert np.array_equal(linalg.row_block(m, 2, 5), m[2:5])
-        with pytest.raises(ValueError):
-            linalg.row_block(m, 4, 9)
-
     def test_row_sums(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(linalg.row_sums(m), [3.0, 7.0])
