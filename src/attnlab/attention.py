@@ -122,74 +122,67 @@ def vanilla_forward(Q: Matrix, K: Matrix, V: Matrix, spec: Optional[AttentionSpe
     return AttentionOutput(O=O, P=P if reference else None)
 
 
-def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
-                          *, reference: bool = False) -> AttentionOutput:
-    """Kernelized attention rescaled by the per-row score sum.
+def _kernel_attention(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
+                      reference: bool) -> tuple[Matrix, np.ndarray, Optional[Matrix]]:
+    """(T, z, S): T = phi(Q) phi(K)^T V and its row score sums z, the body
+    that linear and norm share; S is the n x n score matrix, built only in
+    the reference form.
 
-    Efficient form computes phi(K)^T V (d x d) first; the causal variant runs
-    on prefix sums.  Raises ZeroDenominatorError when a row score sum
-    vanishes: the rescaling has no meaning there.
+    The efficient form computes phi(K)^T V (d x d) first; the causal variant
+    runs on prefix sums.
     """
     _check_shapes(Q, K, V)
     kern = spec.kernel_fn
     if reference:
         _, _, S = _feature_scores(Q, K, kern, spec.causal)
-        z = linalg.row_sums(S)
-        _check_denominator(z)
-        P = S / z[:, None]
-        return AttentionOutput(O=linalg.matmul(P, V), P=P)
+        return linalg.matmul(S, V), linalg.row_sums(S), S
     FQ = kern.apply(Q)
     FK = kern.apply(K)
     if spec.causal:
-        return AttentionOutput(O=_linear_causal(FQ, FK, V, normalize=True))
-    ksum = FK.sum(axis=0)[:, None]  # d x 1
-    z = linalg.matmul(FQ, ksum)[:, 0]
+        T, z = _linear_causal(FQ, FK, V)
+        return T, z, None
+    # T and z in one product: phi(Q) [phi(K)^T V | sum_j phi(K_j)]
+    Tz = linalg.matmul(FQ, np.hstack([linalg.matmul(linalg.transpose(FK), V),
+                                      FK.sum(axis=0)[:, None]]))
+    return Tz[:, :-1], Tz[:, -1], None
+
+
+def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
+                          *, reference: bool = False) -> AttentionOutput:
+    """Kernelized attention rescaled by the per-row score sum: T / z.
+
+    Raises ZeroDenominatorError when a row score sum vanishes: the rescaling
+    has no meaning there.
+    """
+    T, z, S = _kernel_attention(Q, K, V, spec, reference)
     _check_denominator(z)
-    KV = linalg.matmul(linalg.transpose(FK), V)
-    num = linalg.matmul(FQ, KV)
-    return AttentionOutput(O=num / z[:, None])
+    return AttentionOutput(O=T / z[:, None], P=None if S is None else S / z[:, None])
 
 
 def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
                  *, reference: bool = False) -> AttentionOutput:
-    """Kernelized attention without rescaling; rows normalized afterwards.
+    """Kernelized attention without rescaling; rows of T normalized afterwards.
 
-    The reference form materializes the raw score matrix (reported in P;
-    its rows are not stochastic for this mechanism).
+    The reference form reports the raw score matrix in P; its rows are not
+    stochastic for this mechanism.
     """
-    _check_shapes(Q, K, V)
-    kern = spec.kernel_fn
-    if reference:
-        _, _, S = _feature_scores(Q, K, kern, spec.causal)
-        T = linalg.matmul(S, V)
-        return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon), P=S)
-    FQ = kern.apply(Q)
-    FK = kern.apply(K)
-    if spec.causal:
-        T = _linear_causal(FQ, FK, V, normalize=False)
-    else:
-        KV = linalg.matmul(linalg.transpose(FK), V)
-        T = linalg.matmul(FQ, KV)
-    return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon))
+    T, _, S = _kernel_attention(Q, K, V, spec, reference)
+    return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon), P=S)
 
 
-def _linear_causal(FQ: Matrix, FK: Matrix, V: Matrix, *, normalize: bool) -> Matrix:
-    """Prefix-sum evaluation: row i sees keys/values j <= i only."""
+def _linear_causal(FQ: Matrix, FK: Matrix, V: Matrix) -> tuple[Matrix, np.ndarray]:
+    """Prefix-sum evaluation of (T, z): row i sees keys/values j <= i only."""
     n, d = FQ.shape
-    dv = V.shape[1]
-    kv = np.zeros((d, dv))
+    kv = np.zeros((d, V.shape[1]))
     ks = np.zeros(d)
-    out = np.empty((n, dv))
+    T = np.empty((n, V.shape[1]))
+    z = np.empty(n)
     for i in range(n):
         kv += FK[i][:, None] * V[i][None, :]
-        out[i] = linalg.matmul(FQ[i:i + 1], kv)[0]
-        if normalize:
-            ks += FK[i]
-            z = float(np.dot(FQ[i], ks))
-            if abs(z) < MIN_DENOMINATOR:
-                raise ZeroDenominatorError(f"row {i}: causal score sum {z!r} vanishes")
-            out[i] /= z
-    return out
+        ks += FK[i]
+        T[i] = linalg.matmul(FQ[i:i + 1], kv)[0]
+        z[i] = np.dot(FQ[i], ks)
+    return T, z
 
 
 def rela_scores(S_block: Matrix) -> Matrix:
@@ -254,4 +247,4 @@ def _check_denominator(z: np.ndarray) -> None:
     bad = np.abs(z) < MIN_DENOMINATOR
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ZeroDenominatorError(f"row {i}: score sum {z[i]!r} vanishes")
+        raise ZeroDenominatorError(f"row {i}: score sum {float(z[i])!r} vanishes")

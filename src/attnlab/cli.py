@@ -403,6 +403,13 @@ def _config_type_ok(kind, value) -> bool:
     return isinstance(value, kind)  # kind may be Optional[str]
 
 
+def _check_sizes(**sizes: int) -> None:
+    """A size flag below 1 is a usage error that names the flag and its value."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"--{name} must be >= 1, got {value}")
+
+
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -448,9 +455,12 @@ def cmd_dilution(args) -> int:
         return _dilution_from_model(args, seed, outdir)
     if args.input:
         X = read_matrix_file(args.input)
+        if X.size == 0:
+            raise ValueError(f"{args.input}: input is empty")
         n, d = X.shape
     else:
         n, d = args.n, args.d
+        _check_sizes(n=n, d=d)
         X = linalg.uniform(n, d, linalg.split_seed(seed, 1))
     curves = {}
     mechanisms = args.mechanisms.split(",")
@@ -475,6 +485,7 @@ def _dilution_from_model(args, seed: int, outdir: str) -> int:
     if args.input:
         X = read_matrix_file(args.input)
     else:
+        _check_sizes(n=args.n)
         X = linalg.uniform(args.n, config.d_model, linalg.split_seed(seed, 1))
     _, diag = model.model_forward(X, config, collect_diagnostics=True)
     curves = {f"layer{i}_{config.layer_mechanism(i)}": curve
@@ -503,6 +514,7 @@ def _emit_curves(curves: dict, order: Sequence[str], outdir: str, config: dict) 
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     lengths = [int(v) for v in args.lengths.split(",")]
+    _check_sizes(lengths=min(lengths), d=args.d)
     mechanisms = args.mechanisms.split(",")
     results = bench.run_scaling(mechanisms, lengths, d=args.d, reps=args.reps,
                                 seed=seed, mode=args.mode)
@@ -574,6 +586,10 @@ def cmd_pad_forward(args) -> int:
         print(f"input has {X.shape[1]} columns, model wants {config.d_model}",
               file=sys.stderr)
         return 2
+    if padded_n != n and not config.causal:
+        # every real row attends to the zero rows, so padding would change it
+        raise ValueError(f"non-causal model: {n} rows is not a multiple of block size {w}, "
+                         "and padding would change the real rows")
     Xp = np.zeros((padded_n, config.d_model))
     Xp[:n] = X
     out = model.model_forward(Xp, config)

@@ -151,56 +151,45 @@ def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
                            spec: Optional[AttentionSpec] = None, *,
                            with_fd: bool = False):
     """Gradients through rescaled kernelized attention, plus a bound report."""
-    spec = spec or AttentionSpec("linear")
-    FQ, FK, S = attention._feature_scores(Q, K, spec.kernel_fn, spec.causal)
-    z = linalg.row_sums(S)
-    attention._check_denominator(z)
-    P = S / z[:, None]
-    dV = linalg.matmul(linalg.transpose(P), dO)
-    dP = linalg.matmul(dO, linalg.transpose(V))
-    dS = (dP - np.sum(dP * P, axis=1, keepdims=True)) / z[:, None]
-    dS, dQ, dK = _feature_grads(dS, Q, K, FQ, FK, spec)
-
-    mask = np.tri(S.shape[0]) if spec.causal else None
-    c1 = linalg.row_norm_max(dO)
-    c2 = linalg.row_norm_max(V)
-    c3 = _min_abs_active(S, mask)
-    report = GradReport(
-        mechanism="linear",
-        max_abs_dp_ds=_max_abs_dp_ds(P, S, get_kernel("identity"), mask),
-        theoretical_bound=math.sqrt(S.shape[0]) * c1 * c2 / (4.0 * c3) if c3 > 0 else math.inf,
-        c1=c1, c2=c2, c3=c3,
-        max_abs_dL_ds=float(np.max(np.abs(dS))),
-    )
-    if with_fd:
-        report.fd_max_error = _fd_for_mechanism(Q, K, V, dO, spec, (dQ, dK, dV))
-    return dQ, dK, dV, report
+    return _kernel_backward(Q, K, V, dO, spec or AttentionSpec("linear"), with_fd)
 
 
 def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
                   spec: AttentionSpec, *, with_fd: bool = False):
     """Gradients through normalized (non-rescaled) kernelized attention."""
-    eps = spec.epsilon
+    return _kernel_backward(Q, K, V, dO, spec, with_fd)
+
+
+def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec,
+                     with_fd: bool):
+    """(dQ, dK, dV, report) through attention._kernel_attention's T = S V and
+    the mechanism's last step: O = T / z for linear, row_rmsnorm(T) for norm."""
     FQ, FK, S = attention._feature_scores(Q, K, spec.kernel_fn, spec.causal)
     T = linalg.matmul(S, V)
-    dT = rmsnorm_backward(T, dO, eps)
-    dV = linalg.matmul(linalg.transpose(S), dT)
-    dS, dQ, dK = _feature_grads(linalg.matmul(dT, linalg.transpose(V)), Q, K, FQ, FK, spec)
-
     mask = np.tri(S.shape[0]) if spec.causal else None
-    d = V.shape[1]
     c1 = linalg.row_norm_max(dO)
     c2 = linalg.row_norm_max(V)
-    max_jac = 0.0
-    for i in range(T.shape[0]):
-        max_jac = max(max_jac, float(np.max(np.abs(rmsnorm_jacobian(T[i], eps)))))
-    report = GradReport(
-        mechanism="norm",
-        max_abs_dp_ds=max_jac,
-        theoretical_bound=3.0 * c1 * c2 * d / (2.0 * math.sqrt(eps)),
-        c1=c1, c2=c2, c3=_min_abs_active(S, mask),
-        max_abs_dL_ds=float(np.max(np.abs(dS))),
-    )
+    c3 = _min_abs_active(S, mask)
+    if spec.mechanism == "linear":
+        z = linalg.row_sums(S)[:, None]
+        attention._check_denominator(z[:, 0])
+        dT = dO / z
+        dz = -np.sum(dT * T, axis=1, keepdims=True) / z  # dL/dz, added to every s_ik
+        max_jac = _max_abs_dp_ds(S / z, S, get_kernel("identity"), mask)
+        bound = math.sqrt(S.shape[0]) * c1 * c2 / (4.0 * c3) if c3 > 0 else math.inf
+    else:
+        dT = rmsnorm_backward(T, dO, spec.epsilon)
+        dz = 0.0  # no score sum in the normalized form
+        max_jac = max([0.0] + [float(np.max(np.abs(rmsnorm_jacobian(t, spec.epsilon))))
+                               for t in T])
+        bound = 3.0 * c1 * c2 * V.shape[1] / (2.0 * math.sqrt(spec.epsilon))
+    del mask  # n x n: free it before the n x n temporaries of the pullback
+    dV = linalg.matmul(linalg.transpose(S), dT)
+    dS, dQ, dK = _feature_grads(linalg.matmul(dT, linalg.transpose(V)) + dz,
+                                Q, K, FQ, FK, spec)
+    report = GradReport(mechanism=spec.mechanism, max_abs_dp_ds=max_jac,
+                        theoretical_bound=bound, c1=c1, c2=c2, c3=c3,
+                        max_abs_dL_ds=float(np.max(np.abs(dS))))
     if with_fd:
         report.fd_max_error = _fd_for_mechanism(Q, K, V, dO, spec, (dQ, dK, dV))
     return dQ, dK, dV, report
@@ -236,35 +225,6 @@ def backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
     if spec.mechanism == "norm":
         return norm_backward(Q, K, V, dO, spec)[:3]
     return diag_backward(Q, K, V, dO, spec)
-
-
-def vanilla_report(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
-                   spec: Optional[AttentionSpec] = None, *,
-                   with_fd: bool = False) -> GradReport:
-    """Jacobian extrema and the sqrt(n) c1 c2 / 4 bound for softmax attention."""
-    spec = spec or AttentionSpec("vanilla")
-    d = Q.shape[1]
-    alpha = 1.0 / math.sqrt(d) if spec.scaled else 1.0
-    S = linalg.matmul(Q, linalg.transpose(K)) * alpha
-    mask = np.tri(S.shape[0]) if spec.causal else None
-    if spec.causal:
-        S = attention._causal_neg_inf(S)
-    P = linalg.row_softmax(S)
-    dQ, dK, dV = vanilla_backward(Q, K, V, dO, spec)
-    dP = linalg.matmul(dO, linalg.transpose(V))
-    dS = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
-    c1 = linalg.row_norm_max(dO)
-    c2 = linalg.row_norm_max(V)
-    report = GradReport(
-        mechanism="vanilla",
-        max_abs_dp_ds=_max_abs_dp_ds(P, S, get_kernel("exp"), mask),
-        theoretical_bound=math.sqrt(S.shape[0]) * c1 * c2 / 4.0,
-        c1=c1, c2=c2, c3=_min_abs_active(S, mask),
-        max_abs_dL_ds=float(np.max(np.abs(dS))),
-    )
-    if with_fd:
-        report.fd_max_error = _fd_for_mechanism(Q, K, V, dO, spec, (dQ, dK, dV))
-    return report
 
 
 def _max_abs_dp_ds(P: Matrix, S: Matrix, kernel: KernelFn,

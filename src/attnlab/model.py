@@ -3,15 +3,13 @@ attention late, gated feed-forward, pre-norm residuals.
 
 Two wiring variants are supported: "t1" uses ReLU block scores and the elu
 feature map in the late layers, "t2" uses softmax block scores and 1+elu.
-Forward and backward are fully analytic (no autodiff); weights serialize to
-a small binary container.
+Forward and backward are fully analytic (no autodiff).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -29,9 +27,6 @@ VARIANTS = {
     "t1": ("rela", "elu"),
     "t2": ("softmax", "1+elu"),
 }
-
-WEIGHTS_MAGIC = b"TNRM"
-WEIGHTS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -310,60 +305,3 @@ def layer_backward(x: Matrix, params: LayerParams, layer_index: int,
 
     grads = {**attn_grads, **ffn_grads}
     return d_x, grads
-
-
-# ---------------------------------------------------------------------------
-# Weight serialization: magic, version, then name/shape/f64 payload (LE)
-# ---------------------------------------------------------------------------
-
-
-def save_weights(path: str, params: list[LayerParams]) -> None:
-    tensors: list[tuple[str, Matrix]] = []
-    for i, layer in enumerate(params):
-        for name, m in layer.named().items():
-            tensors.append((f"layer{i}.{name}", m))
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<I", WEIGHTS_VERSION))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, m in tensors:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", m.ndim))
-            for dim in m.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-
-
-def load_weights(path: str) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != WEIGHTS_MAGIC:
-            raise ValueError("not a weights container (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != WEIGHTS_VERSION:
-            raise ValueError(f"unsupported weights version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        out = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
-        return out
-
-
-def params_from_tensors(tensors: dict, config: ModelConfig) -> list[LayerParams]:
-    params = []
-    for i in range(config.n_layers):
-        fields = {}
-        for name in ("W_Q", "W_K", "W_V", "W_O", "W_g", "W_u", "W_down"):
-            key = f"layer{i}.{name}"
-            if key not in tensors:
-                raise ValueError(f"missing tensor {key!r}")
-            fields[name] = tensors[key]
-        params.append(LayerParams(**fields))
-    return params

@@ -113,16 +113,18 @@ class TestLinearScaled:
             assert np.max(np.abs(causal[i] - prefix[i])) <= 1e-12
 
     def test_zero_denominator_raises(self):
-        # relu features vanish for non-positive scores
+        # relu features vanish for non-positive queries: rows 1.. have no score
         n, d = 4, 3
         Q = np.full((n, d), -1.0)
-        K = np.full((n, d), -1.0)
+        Q[0] = 1.0
+        K = np.full((n, d), 1.0)
         V = linalg.uniform(n, d, seed=8)
-        spec = AttentionSpec("linear", kernel="relu")
-        with pytest.raises(ZeroDenominatorError):
-            linear_scaled_forward(Q, K, V, spec)
-        with pytest.raises(ZeroDenominatorError):
-            linear_scaled_forward(Q, K, V, spec, reference=True)
+        for causal in (False, True):
+            spec = AttentionSpec("linear", kernel="relu", causal=causal)
+            for reference in (False, True):
+                with pytest.raises(ZeroDenominatorError,
+                                   match="^row 1: score sum 0.0 vanishes$"):
+                    linear_scaled_forward(Q, K, V, spec, reference=reference)
 
     def test_reference_rows_are_stochastic(self):
         Q, K, V = seeded_qkv(9, 12, 4)

@@ -130,6 +130,14 @@ class TestDilutionCommand:
                           str(tmp_path / "missing.txt"), "--out", str(tmp_path))
         assert code == 2
 
+    def test_empty_input_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "input.txt"
+        src.write_text("")
+        code = main(["dilution", "--input", str(src), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {src}: input is empty\n"
+
     def test_model_config_writes_per_layer_curves(self, capsys, tmp_path):
         cfg = model.ModelConfig(n_layers=2, n_early=1, d_model=8, n_heads=2,
                                 block_size=4, seed=17)
@@ -242,6 +250,28 @@ class TestPadForwardCommand:
         assert err.count("\n") == 1 and "non-finite" in err
         assert not dst.exists()
 
+    def test_non_causal_padding_is_usage_error(self, capsys, tmp_path):
+        _, cfg_path = self._config(tmp_path, causal=False)
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        cli.write_matrix_file(str(src), linalg.uniform(10, 8, seed=16))
+        code = main(["pad-forward", "--input", str(src), "--out", str(dst),
+                     "--config", cfg_path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "non-causal" in err
+        assert not dst.exists()
+
+    def test_non_causal_without_padding_runs(self, capsys, tmp_path):
+        cfg, cfg_path = self._config(tmp_path, causal=False)
+        X = linalg.uniform(8, 8, seed=17)
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        cli.write_matrix_file(str(src), X)
+        code, out = run_cli(capsys, "pad-forward", "--input", str(src),
+                            "--out", str(dst), "--config", cfg_path)
+        assert code == 0 and json.loads(out)["padded_to"] == 8
+        direct = model.model_forward(X, cfg, model.init_params(cfg))
+        assert np.allclose(cli.read_matrix_file(str(dst)), direct, atol=1e-12, rtol=0)
+
     def test_missing_out_is_usage_error(self, capsys, tmp_path):
         cfg, cfg_path = self._config(tmp_path)
         src = tmp_path / "in.txt"
@@ -335,6 +365,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+        return err
 
     @pytest.mark.parametrize("argv,config", [
         _usage_case("stability", "--mechanisms", "norm", "--epsilon", "nan", "--steps", "3"),
@@ -359,9 +390,15 @@ class TestUsageErrors:
         _usage_case("dilution", config={"n_heads": 0}),
         _usage_case("adversarial", "--n", "1"),
         _usage_case("adversarial", "--n", "0"),
-        _usage_case("adversarial", "--d", "0")])
+        _usage_case("adversarial", "--d", "0"),
+        _usage_case("dilution", "--d", "0"),
+        _usage_case("dilution", "--n", "0"),
+        _usage_case("dilution", "--n", "0", config={"n_layers": 1, "n_early": 1}),
+        _usage_case("bench", "--lengths", "64", "--d", "0"),
+        _usage_case("bench", "--lengths", "0"),
+        _usage_case("bench", "--lengths", "64,-4")])
     def test_out_of_range_size_exits_2(self, capsys, tmp_path, argv, config):
-        self._run_usage_error(capsys, tmp_path, argv, config)
+        assert ">= " in self._run_usage_error(capsys, tmp_path, argv, config)  # states the range
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -218,35 +218,6 @@ class TestLayerBackward:
         assert calls == [cfg.layer_mechanism(0)] * cfg.n_heads
 
 
-class TestWeightsContainer:
-    def test_round_trip_bitwise(self, tmp_path):
-        cfg = ModelConfig(n_layers=2, n_early=1, d_model=8, n_heads=2,
-                          glu_dim=12, seed=21)
-        params = model.init_params(cfg)
-        path = tmp_path / "weights.bin"
-        model.save_weights(str(path), params)
-        tensors = model.load_weights(str(path))
-        restored = model.params_from_tensors(tensors, cfg)
-        for orig, back in zip(params, restored):
-            for name, mat in orig.named().items():
-                assert np.array_equal(mat, back.named()[name]), name
-
-    def test_magic_and_version_checked(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            model.load_weights(str(path))
-
-    def test_missing_tensor_detected(self, tmp_path):
-        cfg = ModelConfig(n_layers=1, n_early=1, d_model=8, n_heads=2,
-                          glu_dim=12, seed=22)
-        model.save_weights(str(tmp_path / "w.bin"), model.init_params(cfg))
-        tensors = model.load_weights(str(tmp_path / "w.bin"))
-        del tensors["layer0.W_Q"]
-        with pytest.raises(ValueError):
-            model.params_from_tensors(tensors, cfg)
-
-
 @pytest.mark.slow
 class TestComplexityScaling:
     def test_linear_stack_scales_linearly_vanilla_quadratically(self):
