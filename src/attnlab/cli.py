@@ -49,8 +49,7 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         Q, K, V = _seeded_qkv(s, n, d)
         S = linalg.matmul(Q, linalg.transpose(K)) / math.sqrt(d)
         P = linalg.row_softmax(S)
-        J = grad.unified_dp_ds(P, S, kernels.get_kernel("exp"))
-        m = float(np.max(np.abs(J)))
+        m = grad._max_abs_dp_ds(P, S, kernels.get_kernel("exp"))
         if m > worst_vanilla:
             worst_vanilla = m
         if m > 0.25 + 1e-12:
@@ -66,9 +65,9 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         Q, K, V = _seeded_qkv(s, n, d)
         _, _, S = attention._feature_scores(Q, K, kernels.get_kernel("1+elu"), causal=False)
         P = S / linalg.row_sums(S)[:, None]
-        J = grad.unified_dp_ds(P, S, kernels.get_kernel("identity"))
         c3 = float(np.min(np.abs(S)))
-        excess = float(np.max(np.abs(J))) - 1.0 / (4.0 * c3)
+        m = grad._max_abs_dp_ds(P, S, kernels.get_kernel("identity"))
+        excess = m - 1.0 / (4.0 * c3)
         worst_linear_excess = max(worst_linear_excess, excess)
         if excess > 1e-9:
             failing.append(("linear_dp_ds", s))
@@ -450,7 +449,6 @@ def cmd_adversarial(args) -> int:
 def cmd_dilution(args) -> int:
     seed = _resolve_seed(args)
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     if args.config:
         return _dilution_from_model(args, seed, outdir)
     if args.input:
@@ -496,6 +494,7 @@ def _dilution_from_model(args, seed: int, outdir: str) -> int:
 
 def _emit_curves(curves: dict, order: Sequence[str], outdir: str, config: dict) -> int:
     """Write one CSV per curve and emit the signed area of each pair in `order`."""
+    os.makedirs(outdir, exist_ok=True)
     written = {}
     for name, curve in curves.items():
         path = os.path.join(outdir, f"dilution_{name}.csv")
@@ -556,8 +555,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_pad_forward(args) -> int:
-    file_cfg = _load_config_file(args)
-    cfg_kwargs = dict(file_cfg)
+    if not args.out:
+        raise ValueError("pad-forward requires --out")
+    cfg_kwargs = _load_config_file(args)
     # only explicitly-given flags override the config file
     if args.block_size is not None:
         cfg_kwargs["block_size"] = args.block_size
@@ -583,9 +583,7 @@ def cmd_pad_forward(args) -> int:
     w = config.block_size
     padded_n = ((n + w - 1) // w) * w
     if X.shape[1] != config.d_model:
-        print(f"input has {X.shape[1]} columns, model wants {config.d_model}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"input has {X.shape[1]} columns, model wants {config.d_model}")
     if padded_n != n and not config.causal:
         # every real row attends to the zero rows, so padding would change it
         raise ValueError(f"non-causal model: {n} rows is not a multiple of block size {w}, "
@@ -678,9 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "pad-forward" and not args.out:
-        print("pad-forward requires --out", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

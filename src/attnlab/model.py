@@ -43,8 +43,6 @@ class ModelConfig:
     seed: int = 7
     # run "vanilla", "diag" or "norm" in every layer; "linear" is rejected
     attention_override: Optional[str] = None
-    use_positional_embedding: bool = False
-    max_len: int = 512
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -85,10 +83,6 @@ class ModelConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "ModelConfig":
-        return ModelConfig(**json.loads(text))
-
 
 @dataclass
 class LayerParams:
@@ -118,12 +112,6 @@ def init_layer(config: ModelConfig, layer_index: int) -> LayerParams:
 
 def init_params(config: ModelConfig) -> list[LayerParams]:
     return [init_layer(config, i) for i in range(config.n_layers)]
-
-
-def positional_embedding(config: ModelConfig) -> Matrix:
-    std = 1.0 / math.sqrt(config.d_model)
-    return linalg.normal(config.max_len, config.d_model,
-                         linalg.split_seed(config.seed, 999), std=std)
 
 
 def _sigmoid(z: Matrix) -> Matrix:
@@ -221,10 +209,6 @@ def model_forward(x: Matrix, config: ModelConfig,
     curve: the normalized mechanism's raw scores are reported but skipped)."""
     if params is None:
         params = init_params(config)
-    if config.use_positional_embedding and x.shape[0] > 0:
-        if x.shape[0] > config.max_len:
-            raise ValueError(f"sequence longer than max_len={config.max_len}")
-        x = x + positional_embedding(config)[:x.shape[0]]
     diagnostics = ModelDiagnostics(per_layer_P=[], dilution_curves=[])
     for i, p in enumerate(params):
         if collect_diagnostics:

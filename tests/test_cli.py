@@ -138,6 +138,18 @@ class TestDilutionCommand:
         assert code == 2
         assert err == f"error: {src}: input is empty\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--config", "c.json", "--input", "empty.txt"], ["--n", "0"]], ids=" ".join)
+    def test_usage_error_leaves_no_out_directory(self, capsys, tmp_path, argv):
+        (tmp_path / "c.json").write_text(json.dumps({"n_layers": 1, "n_early": 1}))
+        (tmp_path / "empty.txt").write_text("")
+        argv = [str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv]
+        code = main(["dilution", *argv, "--out", str(tmp_path / "dz")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "dz").exists()
+
     def test_model_config_writes_per_layer_curves(self, capsys, tmp_path):
         cfg = model.ModelConfig(n_layers=2, n_early=1, d_model=8, n_heads=2,
                                 block_size=4, seed=17)
@@ -277,7 +289,20 @@ class TestPadForwardCommand:
         src = tmp_path / "in.txt"
         cli.write_matrix_file(str(src), linalg.uniform(4, 8, seed=14))
         code = main(["pad-forward", "--input", str(src), "--config", cfg_path])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err == "error: pad-forward requires --out\n"
+
+    def test_column_mismatch_is_usage_error(self, capsys, tmp_path):
+        _, cfg_path = self._config(tmp_path)
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        cli.write_matrix_file(str(src), linalg.uniform(4, 3, seed=18))
+        code = main(["pad-forward", "--input", str(src), "--out", str(dst),
+                     "--config", cfg_path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: input has 3 columns, model wants 8\n"
+        assert not dst.exists()
 
 
 # Shared flags that each subcommand does not read; passing one is a usage error.
@@ -375,7 +400,9 @@ class TestUsageErrors:
         _usage_case("pad-forward", config={"epsilon": math.nan}),
         _usage_case("dilution", config={"epsilon": math.inf}),
         _usage_case("adversarial", "--x0sq", "nan"),
-        _usage_case("adversarial", "--x0sq", "inf")])
+        _usage_case("adversarial", "--x0sq", "inf"),
+        _usage_case("stability", "--lr", "nan", "--steps", "3"),
+        _usage_case("stability", "--lr", "inf", "--steps", "3")])
     def test_non_finite_value_exits_2(self, capsys, tmp_path, argv, config):
         self._run_usage_error(capsys, tmp_path, argv, config)
 

@@ -371,9 +371,27 @@ class TestGradReport:
         _, _, _, rep = grad.linear_scaled_backward(
             Q, K, V, dO, AttentionSpec("linear", kernel="1+elu"))
         payload = json.loads(rep.to_json())
-        assert set(payload) == {"mechanism", "max_abs_dp_ds", "theoretical_bound",
+        assert set(payload) == {"mechanism", "theoretical_bound",
                                 "c1", "c2", "c3", "max_abs_dL_ds", "fd_max_error"}
         assert payload["fd_max_error"] is None  # skipped, but never dropped
+
+    @pytest.mark.parametrize("mechanism", ["linear", "norm"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_backward_builds_no_map_jacobian(self, monkeypatch, mechanism, causal):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("map-Jacobian extremum computed in a backward")
+
+        monkeypatch.setattr(grad, "_max_abs_dp_ds", forbidden)
+        monkeypatch.setattr(grad, "rmsnorm_jacobian", forbidden)
+        monkeypatch.setattr(grad, "unified_dp_ds", forbidden)
+        Q, K, V = seeded_qkv(82, 8, 4)
+        dO = linalg.uniform(8, 4, seed=83)
+        spec = AttentionSpec(mechanism, kernel="1+elu", causal=causal)
+        backward = grad.linear_scaled_backward if mechanism == "linear" else grad.norm_backward
+        dQ, dK, dV, rep = backward(Q, K, V, dO, spec)
+        assert rep.mechanism == mechanism
+        for got, want in zip(grad.backward(Q, K, V, dO, spec), (dQ, dK, dV)):
+            assert np.array_equal(got, want)
 
 
 class TestStability:
