@@ -36,12 +36,36 @@ def _seeded_qkv(seed: int, n: int, d: int, lo: float = -1.0, hi: float = 1.0):
     return Q, K, V
 
 
+class _Suite:
+    """One suite's checks: each check's worst value, its bound and pass flag,
+    and the seeds whose value broke a check."""
+
+    def __init__(self, name: str, seed: int):
+        self.name = name
+        self.seed = seed
+        self.checks: dict = {}
+        self.failing: list = []
+
+    def see(self, check: str, value, bound: float, seed: int, *, above: bool = False) -> None:
+        """Record one value of `check`, which must be <= bound (> bound when
+        `above`).  The worst value is the max (the min when `above`); a NaN
+        fails its check and stays the worst value."""
+        c = self.checks.setdefault(check, {"value": value, "bound": bound, "pass": True})
+        if math.isnan(value) or (value < c["value"] if above else value > c["value"]):
+            c["value"] = value
+        if not (value > bound if above else value <= bound):
+            c["pass"] = False
+            self.failing.append({"check": check, "seed": seed})
+
+    def result(self) -> dict:
+        return {"suite": self.name, "seed": self.seed,
+                "pass": all(c["pass"] for c in self.checks.values()),
+                "checks": self.checks, "failing_seeds": self.failing}
+
+
 def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
     """Map-Jacobian and loss-gradient bounds plus the matrix norm facts."""
-    checks = {}
-    failing = []
-
-    worst_vanilla = 0.0
+    suite = _Suite("bounds", seed)
     for t in range(trials):
         s = linalg.split_seed(seed, 10, t)
         n = 2 + s % 15
@@ -49,15 +73,9 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         Q, K, V = _seeded_qkv(s, n, d)
         S = linalg.matmul(Q, linalg.transpose(K)) / math.sqrt(d)
         P = linalg.row_softmax(S)
-        m = grad._max_abs_dp_ds(P, S, kernels.get_kernel("exp"))
-        if m > worst_vanilla:
-            worst_vanilla = m
-        if m > 0.25 + 1e-12:
-            failing.append(("vanilla_dp_ds", s))
-    checks["vanilla_max_dp_ds"] = {"value": worst_vanilla, "bound": 0.25 + 1e-12,
-                                   "pass": worst_vanilla <= 0.25 + 1e-12}
+        suite.see("vanilla_max_dp_ds", grad._max_abs_dp_ds(P, S, kernels.get_kernel("exp")),
+                  0.25 + 1e-12, s)
 
-    worst_linear_excess = -math.inf
     for t in range(trials):
         s = linalg.split_seed(seed, 11, t)
         n = 2 + s % 7
@@ -67,15 +85,8 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         P = S / linalg.row_sums(S)[:, None]
         c3 = float(np.min(np.abs(S)))
         m = grad._max_abs_dp_ds(P, S, kernels.get_kernel("identity"))
-        excess = m - 1.0 / (4.0 * c3)
-        worst_linear_excess = max(worst_linear_excess, excess)
-        if excess > 1e-9:
-            failing.append(("linear_dp_ds", s))
-    checks["linear_dp_ds_excess_over_quarter_c3"] = {
-        "value": worst_linear_excess, "bound": 1e-9,
-        "pass": worst_linear_excess <= 1e-9}
+        suite.see("linear_dp_ds_excess_over_quarter_c3", m - 1.0 / (4.0 * c3), 1e-9, s)
 
-    worst_norm_frac = 0.0
     for t in range(trials):
         s = linalg.split_seed(seed, 12, t)
         eps = 1e-3 if t % 2 == 0 else 1e-5
@@ -83,15 +94,8 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         dO = linalg.uniform(8, 8, linalg.split_seed(s, 4))
         spec = AttentionSpec("norm", kernel="1+elu", epsilon=eps)
         _, _, _, rep = grad.norm_backward(Q, K, V, dO, spec)
-        frac = rep.max_abs_dL_ds / rep.theoretical_bound
-        worst_norm_frac = max(worst_norm_frac, frac)
-        if rep.max_abs_dL_ds > rep.theoretical_bound:
-            failing.append(("norm_bound", s))
-    checks["norm_dL_ds_over_bound"] = {"value": worst_norm_frac, "bound": 1.0,
-                                       "pass": worst_norm_frac <= 1.0}
+        suite.see("norm_dL_ds_over_bound", rep.max_abs_dL_ds / rep.theoretical_bound, 1.0, s)
 
-    worst_h = -math.inf
-    worst_spec = -math.inf
     for t in range(trials):
         s = linalg.split_seed(seed, 13, t)
         n = 1 + s % 32
@@ -101,23 +105,16 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         Y = linalg.uniform(r, m, linalg.split_seed(s, 2))
         lhs = linalg.row_norm_max(linalg.matmul(X, linalg.transpose(Y)))
         rhs = math.sqrt(r) * linalg.row_norm_max(X) * linalg.row_norm_max(Y)
-        worst_h = max(worst_h, lhs - rhs)
+        suite.see("h_submultiplicativity_excess", lhs - rhs, 1e-9, s)
         est = linalg.spectral_norm_estimate(X, 200)
-        worst_spec = max(worst_spec, est - math.sqrt(n) * linalg.row_norm_max(X))
-        if lhs - rhs > 1e-9 or est - math.sqrt(n) * linalg.row_norm_max(X) > 1e-9:
-            failing.append(("matrix_props", s))
-    checks["h_submultiplicativity_excess"] = {"value": worst_h, "bound": 1e-9,
-                                              "pass": worst_h <= 1e-9}
-    checks["spectral_vs_sqrt_n_h_excess"] = {"value": worst_spec, "bound": 1e-9,
-                                             "pass": worst_spec <= 1e-9}
-    return _suite_result("bounds", checks, failing, seed)
+        suite.see("spectral_vs_sqrt_n_h_excess", est - math.sqrt(n) * linalg.row_norm_max(X),
+                  1e-9, s)
+    return suite.result()
 
 
 def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
     """Efficient vs reference forms, plus the block-attention degeneracies."""
-    checks = {}
-    failing = []
-    worst = {"linear": 0.0, "norm": 0.0}
+    suite = _Suite("oracle", seed)
     for t in range(trials):
         s = linalg.split_seed(seed, 20, t)
         n = 2 + s % 63
@@ -128,17 +125,9 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
             spec = AttentionSpec(mech, kernel="1+elu", causal=causal)
             eff = attention.forward(Q, K, V, spec).O
             ref = attention.forward(Q, K, V, spec, reference=True).O
-            diff = float(np.max(np.abs(eff - ref)))
-            worst[mech] = max(worst[mech], diff)
-            if diff > 1e-10:
-                failing.append((f"{mech}_oracle", s))
-    checks["linear_efficient_vs_reference"] = {"value": worst["linear"],
-                                               "bound": 1e-10,
-                                               "pass": worst["linear"] <= 1e-10}
-    checks["norm_efficient_vs_reference"] = {"value": worst["norm"], "bound": 1e-10,
-                                             "pass": worst["norm"] <= 1e-10}
+            suite.see(f"{mech}_efficient_vs_reference", float(np.max(np.abs(eff - ref))),
+                      1e-10, s)
 
-    worst_mask = 0.0
     for t in range(50):
         s = linalg.split_seed(seed, 21, t)
         w = 2 + s % 6
@@ -146,17 +135,10 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         n = w * blocks
         d = 1 + (s >> 16) % 8
         Q, K, V = _seeded_qkv(s, n, d)
-        spec = AttentionSpec("diag", block_size=w)
-        got = attention.diag_forward(Q, K, V, spec).O
+        got = attention.diag_forward(Q, K, V, AttentionSpec("diag", block_size=w)).O
         want = _masked_vanilla(Q, K, V, w)
-        diff = float(np.max(np.abs(got - want)))
-        worst_mask = max(worst_mask, diff)
-        if diff > 1e-12:
-            failing.append(("diag_masked", s))
-    checks["diag_vs_masked_vanilla"] = {"value": worst_mask, "bound": 1e-12,
-                                        "pass": worst_mask <= 1e-12}
+        suite.see("diag_vs_masked_vanilla", float(np.max(np.abs(got - want))), 1e-12, s)
 
-    worst_degen = 0.0
     for t in range(50):
         s = linalg.split_seed(seed, 22, t)
         n = 2 + s % 15
@@ -164,13 +146,8 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         Q, K, V = _seeded_qkv(s, n, d)
         got = attention.diag_forward(Q, K, V, AttentionSpec("diag", block_size=n)).O
         want = attention.vanilla_forward(Q, K, V).O
-        diff = float(np.max(np.abs(got - want)))
-        worst_degen = max(worst_degen, diff)
-        if diff > 1e-14:
-            failing.append(("diag_degenerate", s))
-    checks["diag_w_eq_n_vs_vanilla"] = {"value": worst_degen, "bound": 1e-14,
-                                        "pass": worst_degen <= 1e-14}
-    return _suite_result("oracle", checks, failing, seed)
+        suite.see("diag_w_eq_n_vs_vanilla", float(np.max(np.abs(got - want))), 1e-14, s)
+    return suite.result()
 
 
 def _masked_vanilla(Q, K, V, w):
@@ -185,43 +162,23 @@ def _masked_vanilla(Q, K, V, w):
 
 def verify_fd(seed: int = DEFAULT_SEED) -> dict:
     """Finite-difference agreement for every analytic backward."""
-    checks = {}
-    failing = []
+    suite = _Suite("fd", seed)
     tol = 1e-6
-
-    def record(name, err, s):
-        checks[name] = {"value": err, "bound": tol, "pass": err <= tol}
-        if err > tol:
-            failing.append((name, s))
-
     s = linalg.split_seed(seed, 30)
-    Q, K, V = _seeded_qkv(s, 6, 4)
-    dO = linalg.uniform(6, 4, linalg.split_seed(s, 4))
-    spec = AttentionSpec("vanilla")
-    dQ, dK, dV = grad.vanilla_backward(Q, K, V, dO, spec)
-    record("fd_vanilla", grad._fd_for_mechanism(Q, K, V, dO, spec, (dQ, dK, dV)), s)
-
-    Q, K, V = _seeded_qkv(linalg.split_seed(seed, 31), 8, 4)
-    dO = linalg.uniform(8, 4, linalg.split_seed(seed, 31, 4))
-    spec = AttentionSpec("linear", kernel="1+elu")
-    _, _, _, rep = grad.linear_scaled_backward(Q, K, V, dO, spec, with_fd=True)
-    record("fd_linear", rep.fd_max_error, seed)
-
-    Q, K, V = _seeded_qkv(linalg.split_seed(seed, 32), 8, 8)
-    dO = linalg.uniform(8, 8, linalg.split_seed(seed, 32, 4))
-    spec = AttentionSpec("norm", kernel="1+elu", epsilon=1e-5)
-    _, _, _, rep = grad.norm_backward(Q, K, V, dO, spec, with_fd=True)
-    record("fd_norm", rep.fd_max_error, seed)
-
-    Q, K, V = _seeded_qkv(linalg.split_seed(seed, 33), 8, 4)
-    dO = linalg.uniform(8, 4, linalg.split_seed(seed, 33, 4))
-    spec = AttentionSpec("diag", block_size=4)
-    dQ, dK, dV = grad.diag_backward(Q, K, V, dO, spec)
-    err = grad.finite_diff_check(
-        lambda p: attention.diag_forward(p["Q"], p["K"], p["V"], spec).O,
-        {"Q": Q.copy(), "K": K.copy(), "V": V.copy()},
-        {"Q": dQ, "K": dK, "V": dV}, dO)
-    record("fd_diag", err, seed)
+    cases = (  # name, Q/K/V stream, n, d, spec, dO seed, failing seed
+        ("fd_vanilla", 30, 6, 4, AttentionSpec("vanilla"), linalg.split_seed(s, 4), s),
+        ("fd_linear", 31, 8, 4, AttentionSpec("linear", kernel="1+elu"),
+         linalg.split_seed(seed, 31, 4), seed),
+        ("fd_norm", 32, 8, 8, AttentionSpec("norm", kernel="1+elu", epsilon=1e-5),
+         linalg.split_seed(seed, 32, 4), seed),
+        ("fd_diag", 33, 8, 4, AttentionSpec("diag", block_size=4),
+         linalg.split_seed(seed, 33, 4), seed),
+    )
+    for name, stream, n, d, spec, dO_seed, failing_seed in cases:
+        Q, K, V = _seeded_qkv(linalg.split_seed(seed, stream), n, d)
+        dO = linalg.uniform(n, d, dO_seed)
+        err = grad._fd_for_mechanism(Q, K, V, dO, spec, grad.backward(Q, K, V, dO, spec))
+        suite.see(name, err, tol, failing_seed)
 
     cfg = model.ModelConfig(n_layers=1, n_early=1, d_model=8, n_heads=2,
                             block_size=4, glu_dim=12, variant="t2", seed=seed)
@@ -236,15 +193,14 @@ def verify_fd(seed: int = DEFAULT_SEED) -> dict:
         {"x": x.copy(), "W_g": params.W_g.copy(), "W_u": params.W_u.copy(),
          "W_down": params.W_down.copy()},
         {"x": dx, **grads_}, d_out)
-    record("fd_glu", err, seed)
+    suite.see("fd_glu", err, tol, seed)
 
-    err = _fd_layer(cfg, params, x, d_out)
-    record("fd_layer_diag", err, seed)
+    suite.see("fd_layer_diag", _fd_layer(cfg, params, x, d_out), tol, seed)
     cfg_norm = model.ModelConfig(n_layers=1, n_early=0, d_model=8, n_heads=2,
                                  block_size=4, glu_dim=12, variant="t2", seed=seed)
-    err = _fd_layer(cfg_norm, model.init_layer(cfg_norm, 0), x, d_out)
-    record("fd_layer_norm", err, seed)
-    return _suite_result("fd", checks, failing, seed)
+    suite.see("fd_layer_norm", _fd_layer(cfg_norm, model.init_layer(cfg_norm, 0), x, d_out),
+              tol, seed)
+    return suite.result()
 
 
 def _fd_layer(cfg, params, x, d_out) -> float:
@@ -260,20 +216,15 @@ def _fd_layer(cfg, params, x, d_out) -> float:
 
 
 def verify_dilution(seed: int = DEFAULT_SEED) -> dict:
-    checks = {}
-    failing = []
+    suite = _Suite("dilution", seed)
     m = 64
     ident = dilution.dilution_curve(np.eye(m))
-    err_ident = float(np.max(np.abs(ident.ratios[1:] - 1.0 / m)))
-    checks["identity_curve"] = {"value": err_ident, "bound": 2.0 / m,
-                                "pass": err_ident <= 2.0 / m}
+    suite.see("identity_curve", float(np.max(np.abs(ident.ratios[1:] - 1.0 / m))),
+              2.0 / m, seed)
     uni = dilution.dilution_curve(np.full((m, m), 1.0 / m))
-    err_uni = float(np.max(np.abs(uni.ratios[1:] - uni.thresholds[1:])))
-    checks["uniform_curve"] = {"value": err_uni, "bound": 2.0 / m,
-                               "pass": err_uni <= 2.0 / m}
+    suite.see("uniform_curve", float(np.max(np.abs(uni.ratios[1:] - uni.thresholds[1:]))),
+              2.0 / m, seed)
 
-    neg = 0
-    worst_area = math.inf
     for t in range(100):
         s = linalg.split_seed(seed, 40, t)
         Q, K, V = _seeded_qkv(s, 32, 8)
@@ -283,25 +234,8 @@ def verify_dilution(seed: int = DEFAULT_SEED) -> dict:
             Q, K, V, AttentionSpec("linear", kernel="1+elu"), reference=True).P
         area = dilution.compare_curves(dilution.dilution_curve(Pd),
                                        dilution.dilution_curve(Pl))
-        worst_area = min(worst_area, area)
-        if area <= 0:
-            neg += 1
-            failing.append(("diag_vs_linear_area", s))
-    checks["diag_vs_linear_min_area"] = {"value": worst_area, "bound": 0.0,
-                                         "pass": neg == 0}
-    if err_ident > 2.0 / m or err_uni > 2.0 / m:
-        failing.append(("analytic_curves", seed))
-    return _suite_result("dilution", checks, failing, seed)
-
-
-def _suite_result(name, checks, failing, seed) -> dict:
-    return {
-        "suite": name,
-        "seed": seed,
-        "pass": all(c["pass"] for c in checks.values()),
-        "checks": checks,
-        "failing_seeds": [{"check": c, "seed": s} for c, s in failing],
-    }
+        suite.see("diag_vs_linear_min_area", area, 0.0, s, above=True)
+    return suite.result()
 
 
 SUITES = {
@@ -460,18 +394,15 @@ def cmd_dilution(args) -> int:
         n, d = args.n, args.d
         _check_sizes(n=n, d=d)
         X = linalg.uniform(n, d, linalg.split_seed(seed, 1))
+    Q = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 2), std=1 / math.sqrt(d)))
+    K = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 3), std=1 / math.sqrt(d)))
+    V = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 4), std=1 / math.sqrt(d)))
     curves = {}
     mechanisms = args.mechanisms.split(",")
     for mech in mechanisms:
-        Q = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 2), std=1 / math.sqrt(d)))
-        K = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 3), std=1 / math.sqrt(d)))
-        V = linalg.matmul(X, linalg.normal(d, d, linalg.split_seed(seed, 4), std=1 / math.sqrt(d)))
         spec = AttentionSpec(mech, kernel=args.kernel, block_size=args.block_size,
                              causal=args.causal, epsilon=args.epsilon)
-        P = attention.forward(Q, K, V, spec, reference=True).P
-        if mech == "norm":
-            P = dilution.scores_to_distribution(P)  # raw scores, not stochastic
-        curves[mech] = dilution.dilution_curve(P)
+        curves[mech] = dilution.map_curve([attention.forward(Q, K, V, spec, reference=True).P])
     return _emit_curves(curves, mechanisms, outdir,
                         {"mechanisms": args.mechanisms, "n": n, "d": d, "seed": seed,
                          "block_size": args.block_size, "input": args.input})
@@ -485,9 +416,10 @@ def _dilution_from_model(args, seed: int, outdir: str) -> int:
     else:
         _check_sizes(n=args.n)
         X = linalg.uniform(args.n, config.d_model, linalg.split_seed(seed, 1))
-    _, diag = model.model_forward(X, config, collect_diagnostics=True)
-    curves = {f"layer{i}_{config.layer_mechanism(i)}": curve
-              for i, curve in enumerate(diag.dilution_curves)}
+    curves = {}
+    for i, params in enumerate(model.init_params(config)):
+        X, maps = model.layer_forward(X, params, i, config, collect_P=True)
+        curves[f"layer{i}_{config.layer_mechanism(i)}"] = dilution.map_curve(maps)
     return _emit_curves(curves, sorted(curves), outdir,
                         json.loads(config.to_json()) | {"seed": seed, "n": X.shape[0]})
 

@@ -139,7 +139,7 @@ def dilution_curve(P: Matrix) -> DilutionCurve:
     bad = ~zero_rows & (np.abs(sums - 1.0) > ROW_SUM_TOL)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ValueError(f"row {i} sums to {sums[i]!r}, expected 1 +- {ROW_SUM_TOL}")
+        raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 +- {ROW_SUM_TOL}")
     cnts = np.zeros(NUM_THRESHOLDS)
     used = 0
     for i in range(n):
@@ -151,6 +151,20 @@ def dilution_curve(P: Matrix) -> DilutionCurve:
         cnts = cnts / used / m
     return DilutionCurve(thresholds=thresholds, ratios=cnts, n=used, m=m,
                          skipped_rows=int(np.sum(zero_rows)))
+
+
+def map_curve(maps) -> DilutionCurve:
+    """Curve averaged over several maps of one shape, e.g. a layer's heads.
+
+    Every map is row-normalized first (scores_to_distribution), so maps whose
+    rows are not stochastic, such as the normalized mechanism's raw scores or
+    ReLU block scores, get a curve as well.
+    """
+    curves = [dilution_curve(scores_to_distribution(P)) for P in maps]
+    return DilutionCurve(thresholds=curves[0].thresholds,
+                         ratios=np.mean([c.ratios for c in curves], axis=0),
+                         n=sum(c.n for c in curves), m=curves[0].m,
+                         skipped_rows=sum(c.skipped_rows for c in curves))
 
 
 def compare_curves(a: DilutionCurve, b: DilutionCurve) -> float:

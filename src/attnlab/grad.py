@@ -76,9 +76,10 @@ def unified_dp_ds(P: Matrix, S: Matrix, kernel: KernelFn) -> np.ndarray:
         raise ValueError(f"dense Jacobian capped at n={DENSE_JACOBIAN_MAX_N}")
     g = _prefactor(S, kernel)
     J = np.empty((n, n, n))
-    for i in range(n):
-        p = P[i]
-        J[i] = (np.diag(p) - np.outer(p, p)) * g[i][None, :]
+    with np.errstate(invalid="ignore"):  # 0 * inf where a zero factor meets f(s) = 0
+        for i in range(n):
+            p = P[i]
+            J[i] = (np.diag(p) - np.outer(p, p)) * g[i][None, :]
     return J
 
 

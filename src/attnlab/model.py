@@ -19,7 +19,6 @@ from . import attention, grad, linalg
 from .attention import AttentionSpec
 # not called here: perfbench/tracer.py wraps these names on this module
 from .attention import diag_forward, norm_forward, vanilla_forward  # noqa: F401
-from .dilution import DilutionCurve, dilution_curve, scores_to_distribution
 from .linalg import Matrix
 
 VARIANTS = {
@@ -195,43 +194,14 @@ def layer_forward(x: Matrix, params: LayerParams, layer_index: int,
     return out
 
 
-@dataclass
-class ModelDiagnostics:
-    per_layer_P: list          # list (layers) of lists (heads) of matrices or None
-    dilution_curves: list      # per layer: averaged DilutionCurve or None
-
-
 def model_forward(x: Matrix, config: ModelConfig,
-                  params: Optional[list[LayerParams]] = None,
-                  *, collect_diagnostics: bool = False):
-    """Run the full stack; optionally collect per-layer attention maps and
-    their dilution curves (only heads whose map rows are stochastic get a
-    curve: the normalized mechanism's raw scores are reported but skipped)."""
+                  params: Optional[list[LayerParams]] = None) -> Matrix:
+    """Run the full stack."""
     if params is None:
         params = init_params(config)
-    diagnostics = ModelDiagnostics(per_layer_P=[], dilution_curves=[])
     for i, p in enumerate(params):
-        if collect_diagnostics:
-            x, Ps = layer_forward(x, p, i, config, collect_P=True)
-            diagnostics.per_layer_P.append(Ps)
-            diagnostics.dilution_curves.append(_layer_curve(Ps, config, i))
-        else:
-            x = layer_forward(x, p, i, config)
-    if collect_diagnostics:
-        return x, diagnostics
+        x = layer_forward(x, p, i, config)
     return x
-
-
-def _layer_curve(Ps: list, config: ModelConfig, layer_index: int):
-    # the normalized mechanism reports raw scores; view them as a
-    # distribution by row-normalizing their magnitudes before curving
-    if config.layer_mechanism(layer_index) == "norm":
-        Ps = [scores_to_distribution(P) for P in Ps]
-    curves = [dilution_curve(P) for P in Ps]
-    ratios = np.mean([c.ratios for c in curves], axis=0)
-    return DilutionCurve(thresholds=curves[0].thresholds, ratios=ratios,
-                         n=sum(c.n for c in curves), m=curves[0].m,
-                         skipped_rows=sum(c.skipped_rows for c in curves))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,41 @@ class TestVerifyCommand:
         assert payload["pass"] is True
 
 
+class TestSuiteRecorder:
+    """Each failing value lists its seed under the check it broke."""
+
+    @staticmethod
+    def failed(result):
+        names = {f["check"] for f in result["failing_seeds"]}
+        assert names <= set(result["checks"])
+        return {name for name, c in result["checks"].items() if not c["pass"]}, names
+
+    def test_spectral_fact_fails_alone(self, monkeypatch):
+        monkeypatch.setattr(linalg, "spectral_norm_estimate", lambda X, iters: math.inf)
+        result = cli.verify_bounds(7, trials=4)
+        assert result["pass"] is False
+        assert self.failed(result) == ({"spectral_vs_sqrt_n_h_excess"},) * 2
+        assert len(result["failing_seeds"]) == 4
+        assert result["checks"]["spectral_vs_sqrt_n_h_excess"]["value"] == math.inf
+
+    def test_area_must_stay_above_its_bound(self, monkeypatch):
+        monkeypatch.setattr(cli.dilution, "compare_curves", lambda a, b: -1.0)
+        result = cli.verify_dilution(7)
+        assert self.failed(result) == ({"diag_vs_linear_min_area"},) * 2
+        check = result["checks"]["diag_vs_linear_min_area"]
+        assert check["value"] == -1.0 and check["bound"] == 0.0
+        seeds = [f["seed"] for f in result["failing_seeds"]]
+        assert seeds == [linalg.split_seed(7, 40, t) for t in range(100)]
+
+    def test_nan_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(cli.grad, "_max_abs_dp_ds", lambda P, S, kernel: math.nan)
+        result = cli.verify_bounds(7, trials=3)
+        failed, _ = self.failed(result)
+        # the linear check reads the same extremum
+        assert failed == {"vanilla_max_dp_ds", "linear_dp_ds_excess_over_quarter_c3"}
+        assert math.isnan(result["checks"]["vanilla_max_dp_ds"]["value"])
+
+
 class TestAdversarialCommand:
     def test_example_point(self, capsys):
         code, out = run_cli(capsys, "adversarial", "--n", "4", "--d", "4",
@@ -164,6 +199,20 @@ class TestDilutionCommand:
             assert os.path.exists(path)
         # block layer concentrates more than the normalized late layer
         assert payload["signed_areas"]["layer0_diag_minus_layer1_norm"] > 0.0
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_t1_model_config_curves_relu_block_scores(self, capsys, tmp_path, seed):
+        # ReLU block rows sum to R / (R + eps), not 1, until row-normalized
+        cfg_path = tmp_path / "model.json"
+        cfg_path.write_text(json.dumps({"n_layers": 2, "n_early": 1, "d_model": 8,
+                                        "n_heads": 2, "block_size": 4, "variant": "t1"}))
+        code, out = run_cli(capsys, "dilution", "--config", str(cfg_path), "--n", "16",
+                            "--seed", seed, "--out", str(tmp_path))
+        assert code == 0
+        files = json.loads(out)["files"]
+        assert set(files) == {"layer0_diag", "layer1_norm"}
+        for path in files.values():
+            assert os.path.exists(path)
 
 
 class TestBenchCommand:

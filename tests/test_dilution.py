@@ -124,7 +124,7 @@ class TestDilutionCurve:
         assert np.allclose(curve.ratios[1:], 1.0 / 6)
 
     def test_bad_row_sums_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^row 0 sums to 2\.0, expected"):
             dilution_curve(np.full((4, 4), 0.5))
 
     def test_non_square_rejected(self):

@@ -64,6 +64,16 @@ class TestUnifiedJacobian:
         J = grad.unified_dp_ds(P, S, get_kernel("identity"))
         assert not np.all(np.isfinite(J))
 
+    def test_zero_score_meeting_zero_factor_is_nan_without_warning(self):
+        # row 0: p = (0, 1) zeroes every factor of diag(p) - pp^T, and s_00 = 0
+        # makes the identity kernel's prefactor 1/0
+        P = np.array([[0.0, 1.0], [0.5, 0.5]])
+        S = np.array([[0.0, 1.0], [1.0, 1.0]])
+        J = grad.unified_dp_ds(P, S, get_kernel("identity"))
+        assert np.all(np.isnan(J[0, :, 0]))
+        assert np.array_equal(J[0, :, 1], [0.0, 0.0])
+        assert np.all(np.isfinite(J[1]))
+
 
 class TestProductBoundsIdentities:
     def test_p_one_minus_p_quarter(self):

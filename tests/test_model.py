@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attnlab import linalg, model
-from attnlab.dilution import compare_curves
+from attnlab.dilution import compare_curves, map_curve
 from attnlab.model import LayerParams, ModelConfig
 
 
@@ -151,8 +151,11 @@ class TestDiagnostics:
         cfg = ModelConfig(n_layers=2, n_early=1, d_model=16, n_heads=2,
                           block_size=4, variant="t2", seed=8)
         x = linalg.uniform(32, 16, seed=57)
-        _, diag = model.model_forward(x, cfg, collect_diagnostics=True)
-        early, late = diag.dilution_curves
+        curves = []
+        for i, p in enumerate(model.init_params(cfg)):
+            x, maps = model.layer_forward(x, p, i, cfg, collect_P=True)
+            curves.append(map_curve(maps))
+        early, late = curves
         assert early is not None and late is not None
         assert compare_curves(early, late) > 0.0
 
@@ -160,10 +163,13 @@ class TestDiagnostics:
         cfg = ModelConfig(n_layers=2, n_early=1, d_model=8, n_heads=2,
                           block_size=4, seed=9)
         x = linalg.uniform(8, 8, seed=58)
-        _, diag = model.model_forward(x, cfg, collect_diagnostics=True)
-        assert len(diag.per_layer_P) == 2
-        assert len(diag.per_layer_P[0]) == 2  # one map per head
-        assert diag.per_layer_P[0][0].shape == (8, 8)
+        per_layer_P = []
+        for i, p in enumerate(model.init_params(cfg)):
+            x, maps = model.layer_forward(x, p, i, cfg, collect_P=True)
+            per_layer_P.append(maps)
+        assert len(per_layer_P) == 2
+        assert len(per_layer_P[0]) == 2  # one map per head
+        assert per_layer_P[0][0].shape == (8, 8)
 
 
 class TestLayerBackward:
