@@ -2,9 +2,10 @@
 
 Each linear-complexity mechanism comes in two algebraically equivalent forms:
 the efficient form never materializes the n x n score matrix, the reference
-form does (and reports it).  Causal variants of the linear mechanisms run on
-prefix sums; block attention applies full attention independently inside
-non-overlapping diagonal blocks.
+form does (and reports it).  Causal variants of the linear mechanisms run in
+CAUSAL_CHUNK-row chunks: a masked score tile inside each chunk, a d x d
+prefix state across chunks.  Block attention applies full attention
+independently inside non-overlapping diagonal blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ MIN_DENOMINATOR = 1e-300
 
 # Guard added to block row sums in ReLU score normalization.
 RELA_EPS = 1e-6
+
+# Rows per chunk of the causal linear forms.  The chunk grid starts at row 0,
+# so rows appended after row i never change row i's arithmetic.
+CAUSAL_CHUNK = 64
 
 
 class ZeroDenominatorError(ValueError):
@@ -123,28 +128,35 @@ def vanilla_forward(Q: Matrix, K: Matrix, V: Matrix, spec: Optional[AttentionSpe
 
 
 def _kernel_attention(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
-                      reference: bool) -> tuple[Matrix, np.ndarray, Optional[Matrix]]:
-    """(T, z, S): T = phi(Q) phi(K)^T V and its row score sums z, the body
-    that linear and norm share; S is the n x n score matrix, built only in
-    the reference form.
+                      reference: bool) -> tuple[Matrix, Optional[np.ndarray], Optional[Matrix]]:
+    """(T, z, S): T = phi(Q) phi(K)^T V, the body that linear and norm share;
+    z, the row score sums, only for linear; S, the n x n score matrix, built
+    only in the reference form.
 
-    The efficient form computes phi(K)^T V (d x d) first; the causal variant
-    runs on prefix sums.
+    The efficient form gets T and z in one product through the d x d state
+    phi(K)^T _value_columns(V), i.e. phi(K)^T [V | 1] for linear; causal
+    runs it chunk by chunk.  No n x n array is formed.
     """
     _check_shapes(Q, K, V)
-    kern = spec.kernel_fn
+    linear = spec.mechanism == "linear"
     if reference:
-        _, _, S = _feature_scores(Q, K, kern, spec.causal)
-        return linalg.matmul(S, V), linalg.row_sums(S), S
-    FQ = kern.apply(Q)
-    FK = kern.apply(K)
+        _, _, S = _feature_scores(Q, K, spec.kernel_fn, spec.causal)
+        return linalg.matmul(S, V), linalg.row_sums(S) if linear else None, S
+    kern = spec.kernel_fn
+    Vt = _value_columns(V, spec)
     if spec.causal:
-        T, z = _linear_causal(FQ, FK, V)
-        return T, z, None
-    # T and z in one product: phi(Q) [phi(K)^T V | sum_j phi(K_j)]
-    Tz = linalg.matmul(FQ, np.hstack([linalg.matmul(linalg.transpose(FK), V),
-                                      FK.sum(axis=0)[:, None]]))
-    return Tz[:, :-1], Tz[:, -1], None
+        Tz = _linear_causal(Q, K, Vt, kern)
+    else:
+        Tz = linalg.matmul(kern.apply(Q), linalg.matmul(linalg.transpose(kern.apply(K)), Vt))
+    return (Tz[:, :-1], Tz[:, -1], None) if linear else (Tz, None, None)
+
+
+def _value_columns(V: Matrix, spec: AttentionSpec) -> Matrix:
+    """V with a ones column appended for linear, so that the state product's
+    last column is the row score sum z; V itself for norm, which reads no z."""
+    if spec.mechanism != "linear":
+        return V
+    return np.hstack([V, np.ones((V.shape[0], 1))])
 
 
 def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
@@ -170,19 +182,23 @@ def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon), P=S)
 
 
-def _linear_causal(FQ: Matrix, FK: Matrix, V: Matrix) -> tuple[Matrix, np.ndarray]:
-    """Prefix-sum evaluation of (T, z): row i sees keys/values j <= i only."""
-    n, d = FQ.shape
-    kv = np.zeros((d, V.shape[1]))
-    ks = np.zeros(d)
-    T = np.empty((n, V.shape[1]))
-    z = np.empty(n)
-    for i in range(n):
-        kv += FK[i][:, None] * V[i][None, :]
-        ks += FK[i]
-        T[i] = linalg.matmul(FQ[i:i + 1], kv)[0]
-        z[i] = np.dot(FQ[i], ks)
-    return T, z
+def _linear_causal(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn) -> Matrix:
+    """Chunkwise causal phi(Q) phi(K)^T Vt: row i sees rows j <= i only.
+
+    Inside a chunk, a masked CAUSAL_CHUNK-square tile from _feature_scores;
+    across chunks, the prefix state phi(K)^T Vt of every earlier chunk.
+    """
+    n, d = Q.shape
+    M = np.zeros((d, Vt.shape[1]))
+    T = np.empty((n, Vt.shape[1]))
+    for start in range(0, n, CAUSAL_CHUNK):
+        c = slice(start, start + CAUSAL_CHUNK)
+        FQ, FK, S = _feature_scores(Q[c], K[c], kernel, causal=True)
+        # S Vt_c and phi(K_c)^T Vt_c in one pass over the chunk's rows of Vt
+        SM = linalg.matmul(np.vstack([S, linalg.transpose(FK)]), Vt[c])
+        T[c] = linalg.matmul(FQ, M) + SM[:len(S)]
+        M += SM[len(S):]
+    return T
 
 
 def rela_scores(S_block: Matrix) -> Matrix:

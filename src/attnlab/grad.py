@@ -10,6 +10,12 @@ f = identity the prefactor is 1/s_ik and the entries are only bounded by
 1/(4|s_ik|), which blows up as scores approach zero.  The adversarial
 constructor below realizes that blow-up exactly.  Every backward pass here is
 validated against central finite differences of its forward.
+
+linear and norm have two backwards.  backward(), which the model, the SGD
+experiment and bench call, goes through the d x d state phi(K)^T V in
+O(n d^2) time, causal in attention.CAUSAL_CHUNK-row chunks.
+linear_scaled_backward and norm_backward are the quadratic reference: they
+form the n x n scores, and return the GradReport that reads them.
 """
 
 from __future__ import annotations
@@ -163,23 +169,23 @@ def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
 
 def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec,
                      with_fd: bool):
-    """(dQ, dK, dV, report) through attention._kernel_attention's T = S V and
-    the mechanism's last step: O = T / z for linear, row_rmsnorm(T) for norm."""
+    """(dQ, dK, dV, report) through the reference form of
+    attention._kernel_attention, T = S V, and the mechanism's last step.
+
+    Quadratic in n: the report reads the n x n scores.  grad.backward takes
+    _state_backward instead, which builds no report.
+    """
     FQ, FK, S = attention._feature_scores(Q, K, spec.kernel_fn, spec.causal)
     T = linalg.matmul(S, V)
     c1 = linalg.row_norm_max(dO)
     c2 = linalg.row_norm_max(V)
     c3 = _min_abs_active(S, np.tri(S.shape[0]) if spec.causal else None)
-    if spec.mechanism == "linear":
-        z = linalg.row_sums(S)[:, None]
-        attention._check_denominator(z[:, 0])
-        dT = dO / z
-        dz = -np.sum(dT * T, axis=1, keepdims=True) / z  # dL/dz, added to every s_ik
-        bound = math.sqrt(S.shape[0]) * c1 * c2 / (4.0 * c3) if c3 > 0 else math.inf
-    else:
-        dT = rmsnorm_backward(T, dO, spec.epsilon)
-        dz = 0.0  # no score sum in the normalized form
+    z = linalg.row_sums(S) if spec.mechanism == "linear" else None
+    dT, dz = _last_step_backward(T, z, dO, spec)
+    if z is None:
         bound = 3.0 * c1 * c2 * V.shape[1] / (2.0 * math.sqrt(spec.epsilon))
+    else:
+        bound = math.sqrt(S.shape[0]) * c1 * c2 / (4.0 * c3) if c3 > 0 else math.inf
     dV = linalg.matmul(linalg.transpose(S), dT)
     dS, dQ, dK = _feature_grads(linalg.matmul(dT, linalg.transpose(V)) + dz,
                                 Q, K, FQ, FK, spec)
@@ -188,6 +194,76 @@ def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attentio
     if with_fd:
         report.fd_max_error = _fd_for_mechanism(Q, K, V, dO, spec, (dQ, dK, dV))
     return dQ, dK, dV, report
+
+
+def _last_step_backward(T: Matrix, z: Optional[np.ndarray], dO: Matrix,
+                        spec: AttentionSpec):
+    """(dL/dT, dL/dz) through the mechanism's last step: O = T / z for linear,
+    with dL/dz as a column that adds to every s_ik of the row; O =
+    row_rmsnorm(T) for norm, whose z is None and dL/dz 0."""
+    if z is None:
+        return rmsnorm_backward(T, dO, spec.epsilon), 0.0
+    attention._check_denominator(z)
+    dT = dO / z[:, None]
+    return dT, -np.sum(dT * T, axis=1, keepdims=True) / z[:, None]
+
+
+def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
+    """(dQ, dK, dV) through linear or norm in O(n d^2) time and O(n d) memory.
+
+    The gradient of T~ = phi(Q) phi(K)^T V~ goes through the d x d state
+    M~ = phi(K)^T V~ (Katharopoulos et al. 2020, section 3.3), where
+    V~ = attention._value_columns(V) and dT~ = [dL/dT | dL/dz]:
+
+        dphi(Q) = dT~ M~^T    dM~ = phi(Q)^T dT~
+        dV~ = phi(K) dM~      dphi(K) = V~ dM~^T
+
+    Causal runs the same in attention._linear_causal's chunks.
+    """
+    T, z, _ = attention._kernel_attention(Q, K, V, spec, reference=False)
+    dT, dz = _last_step_backward(T, z, dO, spec)
+    dTt = dT if z is None else np.hstack([dT, dz])
+    Vt = attention._value_columns(V, spec)
+    kern = spec.kernel_fn
+    if spec.causal:
+        dFQ, dFK, dVt = _causal_state_backward(Q, K, Vt, dTt, kern)
+    else:
+        FQ, FK = kern.apply(Q), kern.apply(K)
+        M = linalg.matmul(linalg.transpose(FK), Vt)
+        dM = linalg.matmul(linalg.transpose(FQ), dTt)
+        dFQ = linalg.matmul(dTt, linalg.transpose(M))
+        dFK = linalg.matmul(Vt, linalg.transpose(dM))
+        dVt = linalg.matmul(FK, dM)
+    return (dFQ * kern.derivative(Q), dFK * kern.derivative(K),
+            np.ascontiguousarray(dVt[:, :V.shape[1]]))
+
+
+def _causal_state_backward(Q: Matrix, K: Matrix, Vt: Matrix, dTt: Matrix, kernel: KernelFn):
+    """(dphi(Q), dphi(K), dV~) through attention._linear_causal.
+
+    A forward pass over the chunks carries the prefix state M~ and takes each
+    chunk's masked tile and its in-chunk terms; a backward pass carries the
+    suffix dM~ = sum of phi(Q_i)^T dT~_i over later chunks.
+    """
+    n, d = Q.shape
+    FQ, FK = np.empty((n, d)), np.empty((n, d))
+    dFQ, dFK, dVt = np.empty((n, d)), np.empty((n, d)), np.empty_like(Vt)
+    M = np.zeros((d, Vt.shape[1]))
+    chunks = [slice(start, start + attention.CAUSAL_CHUNK)
+              for start in range(0, n, attention.CAUSAL_CHUNK)]
+    for c in chunks:
+        FQ[c], FK[c], S = attention._feature_scores(Q[c], K[c], kernel, causal=True)
+        dS = attention._causal_zero(linalg.matmul(dTt[c], linalg.transpose(Vt[c])))
+        dFQ[c] = linalg.matmul(dTt[c], linalg.transpose(M)) + linalg.matmul(dS, FK[c])
+        dFK[c] = linalg.matmul(linalg.transpose(dS), FQ[c])
+        dVt[c] = linalg.matmul(linalg.transpose(S), dTt[c])
+        M += linalg.matmul(linalg.transpose(FK[c]), Vt[c])
+    dM = np.zeros_like(M)
+    for c in reversed(chunks):
+        dFK[c] += linalg.matmul(Vt[c], linalg.transpose(dM))
+        dVt[c] += linalg.matmul(FK[c], dM)
+        dM += linalg.matmul(linalg.transpose(FQ[c]), dTt[c])
+    return dFQ, dFK, dVt
 
 
 def diag_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
@@ -215,10 +291,8 @@ def backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
     """
     if spec.mechanism == "vanilla":
         return vanilla_backward(Q, K, V, dO, spec)
-    if spec.mechanism == "linear":
-        return linear_scaled_backward(Q, K, V, dO, spec)[:3]
-    if spec.mechanism == "norm":
-        return norm_backward(Q, K, V, dO, spec)[:3]
+    if spec.mechanism in ("linear", "norm"):
+        return _state_backward(Q, K, V, dO, spec)
     return diag_backward(Q, K, V, dO, spec)
 
 

@@ -246,6 +246,30 @@ class TestOracleEquivalence:
                 assert np.max(np.abs(eff - ref)) <= 1e-10, (mech, t)
 
 
+class TestCausalChunks:
+    """The causal linear forms run in CAUSAL_CHUNK-row chunks; 65, 130 and
+    200 rows cross one, two and three chunk boundaries."""
+
+    @pytest.mark.parametrize("mech,kernel", [
+        ("linear", "1+elu"), ("linear", "exp"), ("norm", "1+elu"), ("norm", "elu")])
+    @pytest.mark.parametrize("n,d", [(65, 4), (130, 8), (200, 8)])
+    def test_efficient_matches_reference(self, mech, kernel, n, d):
+        Q, K, V = seeded_qkv(n * 10 + d, n, d)
+        spec = AttentionSpec(mech, kernel=kernel, causal=True)
+        eff = forward(Q, K, V, spec).O
+        ref = forward(Q, K, V, spec, reference=True).O
+        assert np.max(np.abs(eff - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("mech", ["linear", "norm"])
+    def test_appended_rows_leave_earlier_rows_bit_identical(self, mech):
+        # the chunk grid starts at row 0 whatever the length
+        Q, K, V = seeded_qkv(24, 200, 4)
+        spec = AttentionSpec(mech, kernel="1+elu", causal=True)
+        full = forward(Q, K, V, spec).O
+        for m in (1, 63, 64, 65, 130, 199):
+            assert np.array_equal(forward(Q[:m], K[:m], V[:m], spec).O, full[:m]), m
+
+
 class TestCausality:
     @pytest.mark.parametrize("spec", [
         AttentionSpec("vanilla", causal=True),

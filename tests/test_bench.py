@@ -43,6 +43,13 @@ class TestHarness:
         with pytest.raises(ValueError):
             loglog_slope(rows, "missing")
 
+    @pytest.mark.parametrize("mech", ["linear", "norm"])
+    def test_linear_backward_peak_memory_doubles(self, mech):
+        # the state-form backward keeps no n x n array: peak bytes grow
+        # linearly in n (tracemalloc peaks are deterministic)
+        ratio = bench.peak_ratio(mech, 1024, 16, mode="forward_backward")
+        assert 1.6 <= ratio <= 2.4, ratio
+
     def test_forward_backward_mode(self):
         r = bench.bench_cell("vanilla", 64, 8, reps=5, seed=4,
                              mode="forward_backward")

@@ -52,12 +52,12 @@ def test_stability_runs_one_forward_per_step(monkeypatch):
 
 
 def test_backward_looks_up_at_call_time(monkeypatch):
-    sentinel = tuple(np.full((2, 2), float(i)) for i in range(4))
-    monkeypatch.setattr(grad, "norm_backward", lambda *args, **kw: sentinel)
+    sentinel = tuple(np.full((2, 2), float(i)) for i in range(3))
+    monkeypatch.setattr(grad, "_state_backward", lambda *args, **kw: sentinel)
     Q = np.zeros((2, 2))
     out = grad.backward(Q, Q, Q, Q, AttentionSpec("norm"))
     assert len(out) == 3
-    assert all(a is b for a, b in zip(out, sentinel[:3]))
+    assert all(a is b for a, b in zip(out, sentinel))
 
 
 @pytest.mark.parametrize("mech", MECHANISMS)
@@ -69,7 +69,12 @@ def test_backward_equals_mechanism_backward(mech, causal):
               "norm": grad.norm_backward, "diag": grad.diag_backward}[mech]
     want = direct(Q, K, V, dO, spec)[:3]
     got = grad.backward(Q, K, V, dO, spec)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if mech in ("linear", "norm"):
+        # grad.backward takes the state form; the 4-tuple form is the
+        # quadratic reference, and the two add in different orders
+        assert all(np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)) for g, w in zip(got, want))
+    else:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("name", ["long-seq", "model-step", "lab-small"])

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnlab import grad, linalg
-from attnlab.attention import AttentionSpec, diag_forward, forward, vanilla_forward
+from attnlab.attention import (AttentionSpec, ZeroDenominatorError, diag_forward, forward,
+                               vanilla_forward)
 from attnlab.kernels import get_kernel
 
 
@@ -228,20 +231,118 @@ def kernel_grads_oracle(Q, K, V, dO, spec):
     return (dS @ FK) * kern.derivative(Q), (dS.T @ FQ) * kern.derivative(K), dV
 
 
+def kernel_term_magnitudes(Q, K, V, dO, spec):
+    """(|dQ|, |dK|, |dV|) bounds: the chain rule of linear or norm attention
+    on absolute values, each difference turned into a sum (norm's r from the
+    true T).  Any evaluation order rounds a gradient to within a small
+    multiple of machine epsilon times these, however much cancels: at
+    d = 1 norm's output is sign(T) up to eps, and its gradients are the
+    small remainder of terms many orders larger."""
+    kern = spec.kernel_fn
+    n, dv = V.shape
+    M = np.tril(np.ones((n, n))) if spec.causal else np.ones((n, n))
+    FQ, FK = np.abs(kern.apply(Q)), np.abs(kern.apply(K))
+    S = (FQ @ FK.T) * M
+    aV, adO = np.abs(V), np.abs(dO)
+    if spec.mechanism == "linear":
+        z = S.sum(axis=1, keepdims=True)  # non-negative features: the true z
+        dT = adO / z
+        dz = np.sum(dT * (S @ aV), axis=1, keepdims=True) / z
+    else:
+        T = np.abs(((kern.apply(Q) @ kern.apply(K).T) * M) @ V)
+        r2 = np.mean(T * T, axis=1, keepdims=True) + spec.epsilon
+        dT = (adO + T * np.sum(adO * T, axis=1, keepdims=True) / (dv * r2)) / np.sqrt(r2)
+        dz = 0.0
+    dS = (dT @ aV.T + dz) * M
+    return ((dS @ FK) * np.abs(kern.derivative(Q)), (dS.T @ FQ) * np.abs(kern.derivative(K)),
+            S.T @ dT)
+
+
+KERNEL_CASES = [("linear", "1+elu"), ("linear", "exp"), ("norm", "1+elu"), ("norm", "elu")]
+# 65, 130 and 200 rows cross one, two and three causal chunk boundaries
+ORACLE_SIZES = [(8, 4), (24, 8), (65, 4), (130, 8), (200, 8)]
+
+
+def _assert_matches_oracle(got, Q, K, V, dO, spec):
+    for name, g, want in zip("QKV", got, kernel_grads_oracle(Q, K, V, dO, spec)):
+        rel = np.max(np.abs(g - want)) / np.max(np.abs(want))
+        assert rel <= 1e-10, f"d{name}: {rel}"
+
+
 class TestKernelBackwardOracle:
-    @pytest.mark.parametrize("mechanism,kernel", [
-        ("linear", "1+elu"), ("linear", "exp"), ("norm", "1+elu"), ("norm", "elu")])
+    """Both entry points against the numpy chain rule: the quadratic
+    reference that builds the report, and grad.backward's state form."""
+
+    @pytest.mark.parametrize("mechanism,kernel", KERNEL_CASES)
     @pytest.mark.parametrize("causal", [False, True])
-    @pytest.mark.parametrize("n,d", [(8, 4), (24, 8)])
+    @pytest.mark.parametrize("n,d", ORACLE_SIZES)
     def test_matches_numpy_chain_rule(self, mechanism, kernel, causal, n, d):
         Q, K, V = seeded_qkv(n * 100 + d, n, d)
         dO = linalg.uniform(n, d, seed=n * 100 + d + 1)
         spec = AttentionSpec(mechanism, kernel=kernel, causal=causal)
         backward = grad.linear_scaled_backward if mechanism == "linear" else grad.norm_backward
-        got = backward(Q, K, V, dO, spec)[:3]
-        for name, g, want in zip("QKV", got, kernel_grads_oracle(Q, K, V, dO, spec)):
-            rel = np.max(np.abs(g - want)) / np.max(np.abs(want))
-            assert rel <= 1e-10, f"d{name}: {rel}"
+        _assert_matches_oracle(backward(Q, K, V, dO, spec)[:3], Q, K, V, dO, spec)
+
+    @pytest.mark.parametrize("mechanism,kernel", KERNEL_CASES)
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("n,d", ORACLE_SIZES)
+    def test_state_backward_matches_numpy_chain_rule(self, mechanism, kernel, causal, n, d):
+        Q, K, V = seeded_qkv(n * 100 + d, n, d)
+        dO = linalg.uniform(n, d, seed=n * 100 + d + 1)
+        spec = AttentionSpec(mechanism, kernel=kernel, causal=causal)
+        _assert_matches_oracle(grad.backward(Q, K, V, dO, spec), Q, K, V, dO, spec)
+
+
+class TestStateBackward:
+    """grad.backward for linear and norm: the reference's gradients in
+    O(n d^2) time and no n x n array."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 200), st.integers(1, 8),
+           st.sampled_from(KERNEL_CASES), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_reference(self, seed, n, d, case, causal):
+        mechanism, kernel = case
+        Q, K, V = seeded_qkv(seed, n, d)
+        dO = linalg.uniform(n, d, seed=linalg.split_seed(seed, 4))
+        spec = AttentionSpec(mechanism, kernel=kernel, causal=causal)
+        want = grad._kernel_backward(Q, K, V, dO, spec, with_fd=False)[:3]
+        got = grad.backward(Q, K, V, dO, spec)
+        # relative to the size of the summed terms, not of the sum: at n = 1
+        # linear's dQ and dK vanish, and at d = 1 norm's nearly do
+        for name, g, w, m in zip("QKV", got, want, kernel_term_magnitudes(Q, K, V, dO, spec)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(m), name
+
+    @pytest.mark.parametrize("mechanism", ["linear", "norm"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_no_product_is_n_by_n(self, monkeypatch, mechanism, causal):
+        n, d = 256, 8
+        shapes = []
+        inner = linalg.matmul
+
+        def recorded(a, b):
+            out = inner(a, b)
+            shapes.extend([a.shape, b.shape, out.shape])
+            return out
+
+        monkeypatch.setattr(linalg, "matmul", recorded)
+        Q, K, V = seeded_qkv(84, n, d)
+        dO = linalg.uniform(n, d, seed=85)
+        grad.backward(Q, K, V, dO, AttentionSpec(mechanism, causal=causal))
+        assert shapes
+        assert not [s for s in shapes if min(s) >= n]
+
+    def test_zero_denominator_raises_at_the_first_row(self):
+        # relu features vanish for non-positive queries: rows 1.. have no score
+        n, d = 70, 3
+        Q = np.full((n, d), -1.0)
+        Q[0] = 1.0
+        K = np.full((n, d), 1.0)
+        V = linalg.uniform(n, d, seed=86)
+        for causal in (False, True):
+            spec = AttentionSpec("linear", kernel="relu", causal=causal)
+            with pytest.raises(ZeroDenominatorError, match="^row 1: score sum 0.0 vanishes$"):
+                grad.backward(Q, K, V, V, spec)
 
 
 class TestDiagBackward:
@@ -400,8 +501,9 @@ class TestGradReport:
         backward = grad.linear_scaled_backward if mechanism == "linear" else grad.norm_backward
         dQ, dK, dV, rep = backward(Q, K, V, dO, spec)
         assert rep.mechanism == mechanism
+        # grad.backward takes the state form, which adds in another order
         for got, want in zip(grad.backward(Q, K, V, dO, spec), (dQ, dK, dV)):
-            assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestStability:
