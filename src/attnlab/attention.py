@@ -183,22 +183,30 @@ def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
 
 
 def _linear_causal(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn) -> Matrix:
-    """Chunkwise causal phi(Q) phi(K)^T Vt: row i sees rows j <= i only.
+    """Chunkwise causal phi(Q) phi(K)^T Vt: row i sees rows j <= i only."""
+    T = np.empty((Q.shape[0], Vt.shape[1]))
+    for c, _, _, _, _, T_c in _causal_chunks(Q, K, Vt, kernel):
+        T[c] = T_c
+    return T
 
-    Inside a chunk, a masked CAUSAL_CHUNK-square tile from _feature_scores;
-    across chunks, the prefix state phi(K)^T Vt of every earlier chunk.
+
+def _causal_chunks(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn):
+    """Walk the CAUSAL_CHUNK-row chunks in order; yield (c, phi(Q_c), phi(K_c),
+    S_c, M, T_c) per chunk slice c.
+
+    S_c is the chunk's masked score tile from _feature_scores, M the prefix
+    state phi(K)^T Vt of every earlier chunk, and T_c = phi(Q_c) M + S_c Vt_c
+    the chunk's rows of the causal phi(Q) phi(K)^T Vt.
     """
     n, d = Q.shape
     M = np.zeros((d, Vt.shape[1]))
-    T = np.empty((n, Vt.shape[1]))
     for start in range(0, n, CAUSAL_CHUNK):
         c = slice(start, start + CAUSAL_CHUNK)
         FQ, FK, S = _feature_scores(Q[c], K[c], kernel, causal=True)
         # S Vt_c and phi(K_c)^T Vt_c in one pass over the chunk's rows of Vt
         SM = linalg.matmul(np.vstack([S, linalg.transpose(FK)]), Vt[c])
-        T[c] = linalg.matmul(FQ, M) + SM[:len(S)]
-        M += SM[len(S):]
-    return T
+        yield c, FQ, FK, S, M, linalg.matmul(FQ, M) + SM[:len(S)]
+        M = M + SM[len(S):]
 
 
 def rela_scores(S_block: Matrix) -> Matrix:
@@ -259,8 +267,10 @@ def _check_shapes(Q: Matrix, K: Matrix, V: Matrix) -> None:
         raise ValueError(f"V has {V.shape[0]} rows, expected {Q.shape[0]}")
 
 
-def _check_denominator(z: np.ndarray) -> None:
+def _check_denominator(z: np.ndarray, first_row: int = 0) -> None:
+    """Raise ZeroDenominatorError at the first vanishing score sum; z holds
+    the sums of rows first_row, first_row + 1, ..."""
     bad = np.abs(z) < MIN_DENOMINATOR
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ZeroDenominatorError(f"row {i}: score sum {float(z[i])!r} vanishes")
+        raise ZeroDenominatorError(f"row {first_row + i}: score sum {float(z[i])!r} vanishes")

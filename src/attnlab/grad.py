@@ -197,15 +197,25 @@ def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attentio
 
 
 def _last_step_backward(T: Matrix, z: Optional[np.ndarray], dO: Matrix,
-                        spec: AttentionSpec):
+                        spec: AttentionSpec, first_row: int = 0):
     """(dL/dT, dL/dz) through the mechanism's last step: O = T / z for linear,
     with dL/dz as a column that adds to every s_ik of the row; O =
-    row_rmsnorm(T) for norm, whose z is None and dL/dz 0."""
+    row_rmsnorm(T) for norm, whose z is None and dL/dz 0.  Both steps are
+    row-local; first_row numbers the rows in a vanishing-denominator error."""
     if z is None:
         return rmsnorm_backward(T, dO, spec.epsilon), 0.0
-    attention._check_denominator(z)
+    attention._check_denominator(z, first_row)
     dT = dO / z[:, None]
     return dT, -np.sum(dT * T, axis=1, keepdims=True) / z[:, None]
+
+
+def _state_step_backward(Tt: Matrix, dO: Matrix, spec: AttentionSpec,
+                         first_row: int = 0) -> Matrix:
+    """dT~ = [dL/dT | dL/dz] from rows of the state product T~ = [T | z]
+    (linear), or dL/dT from T~ = T (norm)."""
+    if spec.mechanism != "linear":
+        return _last_step_backward(Tt, None, dO, spec)[0]
+    return np.hstack(_last_step_backward(Tt[:, :-1], Tt[:, -1], dO, spec, first_row))
 
 
 def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
@@ -218,18 +228,18 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
         dphi(Q) = dT~ M~^T    dM~ = phi(Q)^T dT~
         dV~ = phi(K) dM~      dphi(K) = V~ dM~^T
 
-    Causal runs the same in attention._linear_causal's chunks.
+    T~ is recomputed here, not taken from a forward call; causal runs the
+    same over attention._causal_chunks.
     """
-    T, z, _ = attention._kernel_attention(Q, K, V, spec, reference=False)
-    dT, dz = _last_step_backward(T, z, dO, spec)
-    dTt = dT if z is None else np.hstack([dT, dz])
+    attention._check_shapes(Q, K, V)
     Vt = attention._value_columns(V, spec)
     kern = spec.kernel_fn
     if spec.causal:
-        dFQ, dFK, dVt = _causal_state_backward(Q, K, Vt, dTt, kern)
+        dFQ, dFK, dVt = _causal_state_backward(Q, K, Vt, dO, spec)
     else:
         FQ, FK = kern.apply(Q), kern.apply(K)
         M = linalg.matmul(linalg.transpose(FK), Vt)
+        dTt = _state_step_backward(linalg.matmul(FQ, M), dO, spec)
         dM = linalg.matmul(linalg.transpose(FQ), dTt)
         dFQ = linalg.matmul(dTt, linalg.transpose(M))
         dFK = linalg.matmul(Vt, linalg.transpose(dM))
@@ -238,27 +248,27 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
             np.ascontiguousarray(dVt[:, :V.shape[1]]))
 
 
-def _causal_state_backward(Q: Matrix, K: Matrix, Vt: Matrix, dTt: Matrix, kernel: KernelFn):
+def _causal_state_backward(Q: Matrix, K: Matrix, Vt: Matrix, dO: Matrix, spec: AttentionSpec):
     """(dphi(Q), dphi(K), dV~) through attention._linear_causal.
 
-    A forward pass over the chunks carries the prefix state M~ and takes each
-    chunk's masked tile and its in-chunk terms; a backward pass carries the
-    suffix dM~ = sum of phi(Q_i)^T dT~_i over later chunks.
+    One walk over attention._causal_chunks takes each chunk's T~ rows, its
+    dT~ and its in-chunk terms through the masked tile; a reverse walk adds
+    the suffix terms, carrying dM~ = sum of phi(Q_i)^T dT~_i over later
+    chunks.
     """
     n, d = Q.shape
-    FQ, FK = np.empty((n, d)), np.empty((n, d))
+    FQ, FK, dTt = np.empty((n, d)), np.empty((n, d)), np.empty_like(Vt)
     dFQ, dFK, dVt = np.empty((n, d)), np.empty((n, d)), np.empty_like(Vt)
-    M = np.zeros((d, Vt.shape[1]))
-    chunks = [slice(start, start + attention.CAUSAL_CHUNK)
-              for start in range(0, n, attention.CAUSAL_CHUNK)]
-    for c in chunks:
-        FQ[c], FK[c], S = attention._feature_scores(Q[c], K[c], kernel, causal=True)
+    chunks = []
+    for c, FQ_c, FK_c, S, M, Tt in attention._causal_chunks(Q, K, Vt, spec.kernel_fn):
+        chunks.append(c)
+        FQ[c], FK[c] = FQ_c, FK_c
+        dTt[c] = _state_step_backward(Tt, dO[c], spec, c.start)
         dS = attention._causal_zero(linalg.matmul(dTt[c], linalg.transpose(Vt[c])))
-        dFQ[c] = linalg.matmul(dTt[c], linalg.transpose(M)) + linalg.matmul(dS, FK[c])
-        dFK[c] = linalg.matmul(linalg.transpose(dS), FQ[c])
+        dFQ[c] = linalg.matmul(dTt[c], linalg.transpose(M)) + linalg.matmul(dS, FK_c)
+        dFK[c] = linalg.matmul(linalg.transpose(dS), FQ_c)
         dVt[c] = linalg.matmul(linalg.transpose(S), dTt[c])
-        M += linalg.matmul(linalg.transpose(FK[c]), Vt[c])
-    dM = np.zeros_like(M)
+    dM = np.zeros((d, Vt.shape[1]))
     for c in reversed(chunks):
         dFK[c] += linalg.matmul(Vt[c], linalg.transpose(dM))
         dVt[c] += linalg.matmul(FK[c], dM)

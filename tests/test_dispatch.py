@@ -65,16 +65,11 @@ def test_backward_looks_up_at_call_time(monkeypatch):
 def test_backward_equals_mechanism_backward(mech, causal):
     Q, K, V, dO = (linalg.uniform(8, 4, seed=s) for s in (1, 2, 3, 4))
     spec = AttentionSpec(mech, block_size=4, causal=causal)
-    direct = {"vanilla": grad.vanilla_backward, "linear": grad.linear_scaled_backward,
-              "norm": grad.norm_backward, "diag": grad.diag_backward}[mech]
+    direct = {"vanilla": grad.vanilla_backward, "linear": grad._state_backward,
+              "norm": grad._state_backward, "diag": grad.diag_backward}[mech]
     want = direct(Q, K, V, dO, spec)[:3]
     got = grad.backward(Q, K, V, dO, spec)
-    if mech in ("linear", "norm"):
-        # grad.backward takes the state form; the 4-tuple form is the
-        # quadratic reference, and the two add in different orders
-        assert all(np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)) for g, w in zip(got, want))
-    else:
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("name", ["long-seq", "model-step", "lab-small"])

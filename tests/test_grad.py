@@ -332,16 +332,19 @@ class TestStateBackward:
         assert shapes
         assert not [s for s in shapes if min(s) >= n]
 
-    def test_zero_denominator_raises_at_the_first_row(self):
-        # relu features vanish for non-positive queries: rows 1.. have no score
-        n, d = 70, 3
+    @pytest.mark.parametrize("first_bad", [1, 100])
+    def test_zero_denominator_raises_at_the_first_row(self, first_bad):
+        # relu features vanish for non-positive queries: rows first_bad.. have
+        # no score; row 100 lies in the second causal chunk
+        n, d = 140, 3
         Q = np.full((n, d), -1.0)
-        Q[0] = 1.0
+        Q[:first_bad] = 1.0
         K = np.full((n, d), 1.0)
         V = linalg.uniform(n, d, seed=86)
         for causal in (False, True):
             spec = AttentionSpec("linear", kernel="relu", causal=causal)
-            with pytest.raises(ZeroDenominatorError, match="^row 1: score sum 0.0 vanishes$"):
+            with pytest.raises(ZeroDenominatorError,
+                               match=f"^row {first_bad}: score sum 0.0 vanishes$"):
                 grad.backward(Q, K, V, V, spec)
 
 
