@@ -5,7 +5,9 @@ the efficient form never materializes the n x n score matrix, the reference
 form does (and reports it).  Causal variants of the linear mechanisms run in
 CAUSAL_CHUNK-row chunks: a masked score tile inside each chunk, a d x d
 prefix state across chunks.  Block attention applies full attention
-independently inside non-overlapping diagonal blocks.
+independently inside non-overlapping diagonal blocks.  Blocks and chunks are
+stacked on a leading batch axis (_as_tiles), and every tile step reads the
+last two axes, so no loop walks them.
 """
 
 from __future__ import annotations
@@ -82,23 +84,35 @@ class AttentionOutput:
 
 
 def _causal_neg_inf(S: Matrix) -> Matrix:
-    out = S.copy()
-    out[np.triu_indices_from(out, k=1)] = -np.inf
-    return out
+    return np.where(np.tri(*S.shape[-2:], dtype=bool), S, -np.inf)
 
 
 def _causal_zero(S: Matrix) -> Matrix:
-    return S * np.tri(S.shape[0], S.shape[1])
+    return S * np.tri(*S.shape[-2:])
+
+
+def _as_tiles(X: Matrix, rows: int) -> np.ndarray:
+    """X's rows as a stack of `rows`-row tiles, the last one zero-padded."""
+    n, cols = X.shape
+    pad = -n % rows
+    if pad:
+        X = np.vstack([X, np.zeros((pad, cols))])
+    return X.reshape(-1, rows, cols)
+
+
+def _from_tiles(X: np.ndarray, n: int) -> Matrix:
+    """The first n rows of a tile stack, as one matrix: _as_tiles undone."""
+    return X.reshape(-1, X.shape[-1])[:n]
 
 
 def _tile(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
           score_fn: str) -> tuple[Matrix, Matrix]:
-    """(O, P) of softmax-family attention over one square tile: scores divided
-    by sqrt(d) when spec.scaled, masked when spec.causal, then normalized by
-    row softmax or rela_scores."""
+    """(O, P) of softmax-family attention over square tiles, one matrix or a
+    stack of them: scores divided by sqrt(d) when spec.scaled, masked when
+    spec.causal, then normalized by row softmax or rela_scores."""
     S = linalg.matmul(Q, linalg.transpose(K))
     if spec.scaled:
-        S = S / np.sqrt(Q.shape[1])
+        S = S / np.sqrt(Q.shape[-1])
     if spec.causal:
         S = _causal_neg_inf(S) if score_fn == "softmax" else _causal_zero(S)
     P = linalg.row_softmax(S) if score_fn == "softmax" else rela_scores(S)
@@ -135,7 +149,7 @@ def _kernel_attention(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
 
     The efficient form gets T and z in one product through the d x d state
     phi(K)^T _value_columns(V), i.e. phi(K)^T [V | 1] for linear; causal
-    runs it chunk by chunk.  No n x n array is formed.
+    runs it over _causal_chunks.  No n x n array is formed.
     """
     _check_shapes(Q, K, V)
     linear = spec.mechanism == "linear"
@@ -184,29 +198,22 @@ def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
 
 def _linear_causal(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn) -> Matrix:
     """Chunkwise causal phi(Q) phi(K)^T Vt: row i sees rows j <= i only."""
-    T = np.empty((Q.shape[0], Vt.shape[1]))
-    for c, _, _, _, _, T_c in _causal_chunks(Q, K, Vt, kernel):
-        T[c] = T_c
-    return T
+    return _from_tiles(_causal_chunks(Q, K, Vt, kernel)[-1], Q.shape[0])
 
 
 def _causal_chunks(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn):
-    """Walk the CAUSAL_CHUNK-row chunks in order; yield (c, phi(Q_c), phi(K_c),
-    S_c, M, T_c) per chunk slice c.
-
-    S_c is the chunk's masked score tile from _feature_scores, M the prefix
-    state phi(K)^T Vt of every earlier chunk, and T_c = phi(Q_c) M + S_c Vt_c
-    the chunk's rows of the causal phi(Q) phi(K)^T Vt.
+    """(phi(Q), phi(K), Vt, S, M, T) as stacks of CAUSAL_CHUNK-row chunks
+    (n rows when n is shorter).  S: the masked score tiles.  M: chunk c's
+    prefix state, phi(K)^T Vt summed over the chunks before c in order (a
+    matmul never yields -0.0, so this equals M = M + state from zeros).
+    T = phi(Q) M + S Vt: the chunks' rows of the causal phi(Q) phi(K)^T Vt.
     """
-    n, d = Q.shape
-    M = np.zeros((d, Vt.shape[1]))
-    for start in range(0, n, CAUSAL_CHUNK):
-        c = slice(start, start + CAUSAL_CHUNK)
-        FQ, FK, S = _feature_scores(Q[c], K[c], kernel, causal=True)
-        # S Vt_c and phi(K_c)^T Vt_c in one pass over the chunk's rows of Vt
-        SM = linalg.matmul(np.vstack([S, linalg.transpose(FK)]), Vt[c])
-        yield c, FQ, FK, S, M, linalg.matmul(FQ, M) + SM[:len(S)]
-        M = M + SM[len(S):]
+    rows = max(1, min(Q.shape[0], CAUSAL_CHUNK))
+    FQ, FK, S = _feature_scores(_as_tiles(Q, rows), _as_tiles(K, rows), kernel, causal=True)
+    Vt = _as_tiles(Vt, rows)
+    M = np.zeros((len(S), Q.shape[1], Vt.shape[2]))
+    np.add.accumulate(linalg.matmul(linalg.transpose(FK[:-1]), Vt[:-1]), axis=0, out=M[1:])
+    return FQ, FK, Vt, S, M, linalg.matmul(FQ, M) + linalg.matmul(S, Vt)
 
 
 def rela_scores(S_block: Matrix) -> Matrix:
@@ -215,10 +222,10 @@ def rela_scores(S_block: Matrix) -> Matrix:
     Rows whose entries are all non-positive come out as zero rows: the token
     attends to nothing.
     """
-    if S_block.shape[0] != S_block.shape[1]:
+    if S_block.shape[-2] != S_block.shape[-1]:
         raise ValueError("rela_scores expects a square block")
     R = np.maximum(S_block, 0.0)
-    return R / (R.sum(axis=1, keepdims=True) + RELA_EPS)
+    return R / (R.sum(axis=-1, keepdims=True) + RELA_EPS)
 
 
 def diag_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
@@ -230,17 +237,14 @@ def diag_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     """
     _check_shapes(Q, K, V)
     n = Q.shape[0]
-    w = spec.block_size
-    if n % w != 0:
-        raise ValueError(f"sequence length {n} is not a multiple of block size {w}")
-    O = np.empty((n, V.shape[1]))
-    P_full = np.zeros((n, n)) if reference else None
-    for start in range(0, n, w):
-        b = slice(start, start + w)
-        O[b], Pb = _tile(Q[b], K[b], V[b], spec, spec.diag_score_fn)
-        if P_full is not None:
-            P_full[b, b] = Pb
-    return AttentionOutput(O=O, P=P_full)
+    O, P = _tile(*_diag_tiles(spec, Q, K, V), spec, spec.diag_score_fn)
+    if not reference:
+        return AttentionOutput(O=_from_tiles(O, n))
+    # tile b lands on diagonal block (b, b) of the n x n map
+    t, w = P.shape[:2]
+    P_full = np.zeros((t, w, t, w))
+    P_full[np.arange(t), :, np.arange(t)] = P
+    return AttentionOutput(O=_from_tiles(O, n), P=P_full.reshape(n, n))
 
 
 def forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
@@ -267,10 +271,17 @@ def _check_shapes(Q: Matrix, K: Matrix, V: Matrix) -> None:
         raise ValueError(f"V has {V.shape[0]} rows, expected {Q.shape[0]}")
 
 
-def _check_denominator(z: np.ndarray, first_row: int = 0) -> None:
-    """Raise ZeroDenominatorError at the first vanishing score sum; z holds
-    the sums of rows first_row, first_row + 1, ..."""
+def _diag_tiles(spec: AttentionSpec, *Xs: Matrix) -> list[np.ndarray]:
+    """Xs cut into diag's spec.block_size-row blocks, which must divide n."""
+    n, w = len(Xs[0]), spec.block_size
+    if n % w != 0:
+        raise ValueError(f"sequence length {n} is not a multiple of block size {w}")
+    return [_as_tiles(X, w) for X in Xs]
+
+
+def _check_denominator(z: np.ndarray) -> None:
+    """Raise ZeroDenominatorError at the first vanishing score sum."""
     bad = np.abs(z) < MIN_DENOMINATOR
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ZeroDenominatorError(f"row {first_row + i}: score sum {float(z[i])!r} vanishes")
+        raise ZeroDenominatorError(f"row {i}: score sum {float(z[i])!r} vanishes")

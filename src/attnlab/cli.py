@@ -153,10 +153,8 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
 def _masked_vanilla(Q, K, V, w):
     n, d = Q.shape
     S = linalg.matmul(Q, linalg.transpose(K)) / math.sqrt(d)
-    mask = np.full((n, n), -np.inf)
-    for start in range(0, n, w):
-        mask[start:start + w, start:start + w] = 0.0
-    P = linalg.row_softmax(S + mask)
+    block = np.arange(n) // w
+    P = linalg.row_softmax(S + np.where(block[:, None] == block, 0.0, -np.inf))
     return linalg.matmul(P, V)
 
 
@@ -300,10 +298,11 @@ def write_matrix_file(path: str, m) -> None:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("ATTNLAB_SEED")
-    if env is not None:
+    env = os.environ.get("ATTNLAB_SEED", DEFAULT_SEED)
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"ATTNLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _load_config_file(args) -> dict:

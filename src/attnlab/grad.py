@@ -13,9 +13,10 @@ validated against central finite differences of its forward.
 
 linear and norm have two backwards.  backward(), which the model, the SGD
 experiment and bench call, goes through the d x d state phi(K)^T V in
-O(n d^2) time, causal in attention.CAUSAL_CHUNK-row chunks.
-linear_scaled_backward and norm_backward are the quadratic reference: they
-form the n x n scores, and return the GradReport that reads them.
+O(n d^2) time; causal runs its attention.CAUSAL_CHUNK-row chunks as one tile
+stack, as diag_backward does its blocks.  linear_scaled_backward and
+norm_backward are the quadratic reference: they form the n x n scores, and
+return the GradReport that reads them.
 """
 
 from __future__ import annotations
@@ -121,20 +122,20 @@ def vanilla_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
 
 def _tile_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec,
                    score_fn: str):
-    """(dQ, dK, dV) through one softmax-family tile, attention._tile."""
-    alpha = 1.0 / math.sqrt(Q.shape[1]) if spec.scaled else 1.0
+    """(dQ, dK, dV) through attention._tile: one tile or a stack of them."""
+    alpha = 1.0 / math.sqrt(Q.shape[-1]) if spec.scaled else 1.0
     S = linalg.matmul(Q, linalg.transpose(K)) * alpha
     if spec.causal:
         S = attention._causal_neg_inf(S) if score_fn == "softmax" else attention._causal_zero(S)
     dP = linalg.matmul(dO, linalg.transpose(V))
     if score_fn == "softmax":
         P = linalg.row_softmax(S)
-        dS = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+        dS = P * (dP - np.sum(dP * P, axis=-1, keepdims=True))
     else:
         R = np.maximum(S, 0.0)
-        z = R.sum(axis=1, keepdims=True) + attention.RELA_EPS
+        z = R.sum(axis=-1, keepdims=True) + attention.RELA_EPS
         P = R / z
-        dS = (dP - np.sum(dP * P, axis=1, keepdims=True)) / z * np.where(S >= 0, 1.0, 0.0)
+        dS = (dP - np.sum(dP * P, axis=-1, keepdims=True)) / z * np.where(S >= 0, 1.0, 0.0)
         if spec.causal:
             dS = attention._causal_zero(dS)
     dQ = linalg.matmul(dS, K) * alpha
@@ -197,25 +198,23 @@ def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attentio
 
 
 def _last_step_backward(T: Matrix, z: Optional[np.ndarray], dO: Matrix,
-                        spec: AttentionSpec, first_row: int = 0):
+                        spec: AttentionSpec):
     """(dL/dT, dL/dz) through the mechanism's last step: O = T / z for linear,
     with dL/dz as a column that adds to every s_ik of the row; O =
-    row_rmsnorm(T) for norm, whose z is None and dL/dz 0.  Both steps are
-    row-local; first_row numbers the rows in a vanishing-denominator error."""
+    row_rmsnorm(T) for norm, whose z is None and dL/dz 0."""
     if z is None:
         return rmsnorm_backward(T, dO, spec.epsilon), 0.0
-    attention._check_denominator(z, first_row)
+    attention._check_denominator(z)
     dT = dO / z[:, None]
     return dT, -np.sum(dT * T, axis=1, keepdims=True) / z[:, None]
 
 
-def _state_step_backward(Tt: Matrix, dO: Matrix, spec: AttentionSpec,
-                         first_row: int = 0) -> Matrix:
-    """dT~ = [dL/dT | dL/dz] from rows of the state product T~ = [T | z]
-    (linear), or dL/dT from T~ = T (norm)."""
+def _state_step_backward(Tt: Matrix, dO: Matrix, spec: AttentionSpec) -> Matrix:
+    """dT~ = [dL/dT | dL/dz] from the state product T~ = [T | z] (linear), or
+    dL/dT from T~ = T (norm)."""
     if spec.mechanism != "linear":
         return _last_step_backward(Tt, None, dO, spec)[0]
-    return np.hstack(_last_step_backward(Tt[:, :-1], Tt[:, -1], dO, spec, first_row))
+    return np.hstack(_last_step_backward(Tt[:, :-1], Tt[:, -1], dO, spec))
 
 
 def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
@@ -229,7 +228,7 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
         dV~ = phi(K) dM~      dphi(K) = V~ dM~^T
 
     T~ is recomputed here, not taken from a forward call; causal runs the
-    same over attention._causal_chunks.
+    same over the chunk stack of attention._causal_chunks.
     """
     attention._check_shapes(Q, K, V)
     Vt = attention._value_columns(V, spec)
@@ -249,47 +248,28 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
 
 
 def _causal_state_backward(Q: Matrix, K: Matrix, Vt: Matrix, dO: Matrix, spec: AttentionSpec):
-    """(dphi(Q), dphi(K), dV~) through attention._linear_causal.
-
-    One walk over attention._causal_chunks takes each chunk's T~ rows, its
-    dT~ and its in-chunk terms through the masked tile; a reverse walk adds
-    the suffix terms, carrying dM~ = sum of phi(Q_i)^T dT~_i over later
-    chunks.
-    """
-    n, d = Q.shape
-    FQ, FK, dTt = np.empty((n, d)), np.empty((n, d)), np.empty_like(Vt)
-    dFQ, dFK, dVt = np.empty((n, d)), np.empty((n, d)), np.empty_like(Vt)
-    chunks = []
-    for c, FQ_c, FK_c, S, M, Tt in attention._causal_chunks(Q, K, Vt, spec.kernel_fn):
-        chunks.append(c)
-        FQ[c], FK[c] = FQ_c, FK_c
-        dTt[c] = _state_step_backward(Tt, dO[c], spec, c.start)
-        dS = attention._causal_zero(linalg.matmul(dTt[c], linalg.transpose(Vt[c])))
-        dFQ[c] = linalg.matmul(dTt[c], linalg.transpose(M)) + linalg.matmul(dS, FK_c)
-        dFK[c] = linalg.matmul(linalg.transpose(dS), FQ_c)
-        dVt[c] = linalg.matmul(linalg.transpose(S), dTt[c])
-    dM = np.zeros((d, Vt.shape[1]))
-    for c in reversed(chunks):
-        dFK[c] += linalg.matmul(Vt[c], linalg.transpose(dM))
-        dVt[c] += linalg.matmul(FK[c], dM)
-        dM += linalg.matmul(linalg.transpose(FQ[c]), dTt[c])
-    return dFQ, dFK, dVt
+    """(dphi(Q), dphi(K), dV~) through attention._linear_causal: through the
+    masked tiles S inside a chunk, and through the prefix state M, whose
+    gradient in chunk c sums phi(Q)^T dT~ over the chunks after c."""
+    n = Q.shape[0]
+    FQ, FK, Vt, S, M, Tt = attention._causal_chunks(Q, K, Vt, spec.kernel_fn)
+    dTt = attention._as_tiles(_state_step_backward(attention._from_tiles(Tt, n), dO, spec),
+                              Tt.shape[1])
+    dS = attention._causal_zero(linalg.matmul(dTt, linalg.transpose(Vt)))
+    # suffix sums, the last chunk first; no M reads the first chunk's term
+    dM = np.zeros_like(M)
+    dM[:-1] = np.add.accumulate(
+        linalg.matmul(linalg.transpose(FQ[1:]), dTt[1:])[::-1], axis=0)[::-1]
+    dFQ = linalg.matmul(dTt, linalg.transpose(M)) + linalg.matmul(dS, FK)
+    dFK = linalg.matmul(linalg.transpose(dS), FQ) + linalg.matmul(Vt, linalg.transpose(dM))
+    dVt = linalg.matmul(linalg.transpose(S), dTt) + linalg.matmul(FK, dM)
+    return tuple(attention._from_tiles(G, n) for G in (dFQ, dFK, dVt))
 
 
 def diag_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
     """Gradients through block-diagonal attention (softmax or ReLU scores)."""
-    n = Q.shape[0]
-    w = spec.block_size
-    if n % w != 0:
-        raise ValueError(f"sequence length {n} is not a multiple of block size {w}")
-    dQ = np.empty_like(Q)
-    dK = np.empty_like(K)
-    dV = np.empty_like(V)
-    for start in range(0, n, w):
-        b = slice(start, start + w)
-        dQ[b], dK[b], dV[b] = _tile_backward(Q[b], K[b], V[b], dO[b], spec,
-                                             spec.diag_score_fn)
-    return dQ, dK, dV
+    grads = _tile_backward(*attention._diag_tiles(spec, Q, K, V, dO), spec, spec.diag_score_fn)
+    return tuple(attention._from_tiles(G, len(Q)) for G in grads)
 
 
 def backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):

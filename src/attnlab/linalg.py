@@ -28,57 +28,66 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Product with left-to-right accumulation over the inner dimension.
 
     Bitwise equal to ``out[i,j] = sum_k a[i,k]*b[k,j]`` evaluated k=0,1,...
-    with one rounding per multiply and per add (no FMA, no reassociation).
-    Output rows are processed in cache-sized blocks; that reorders only which
-    entries are updated when, never the arithmetic sequence of any entry.
+    with one rounding per multiply and per add (no FMA, no reassociation);
+    3-D operands (batch, rows, inner) x (batch, inner, cols) do so per entry.
+    Output rows (3-D: entries) are processed in cache-sized blocks; that
+    reorders only which entries are updated when, never any entry's sequence.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    n, inner = a.shape
-    p = b.shape[1]
-    out = np.zeros((n, p))
-    if n == 0 or p == 0 or inner == 0:
+    # column k of a and row k of b, as views that broadcast to out's shape
+    if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0]:
+        a_k, b_k = a.T[:, :, None], b[:, None, :]
+    elif a.ndim == b.ndim == 3 and len(a) == len(b) and a.shape[2] == b.shape[1]:
+        a_k, b_k = a.transpose(2, 0, 1)[..., None], b.transpose(1, 0, 2)[:, :, None]
+    else:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}; matmul takes "
+                         "(n, k) x (k, p) or (batch, n, k) x (batch, k, p)")
+    inner = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    if out.size == 0 or inner == 0:
         return out
     # long inner dimensions would walk a's columns with a large stride; one
     # contiguous transpose up front is cheaper than n*inner strided reads
-    aT = np.ascontiguousarray(a.T) if inner >= 256 and n >= 256 else None
-    rows_per_block = max(1, min(n, _MATMUL_BLOCK_BYTES // (8 * p)))
-    tmp = np.empty((rows_per_block, p))
-    for r0 in range(0, n, rows_per_block):
-        r1 = min(n, r0 + rows_per_block)
-        ob = out[r0:r1]
-        tv = tmp[:r1 - r0]
-        if aT is None:
-            ab = a[r0:r1]
-            for k in range(inner):
-                np.multiply(ab[:, k, None], b[None, k, :], out=tv)
-                ob += tv
-        else:
-            for k in range(inner):
-                np.multiply(aT[k, r0:r1, None], b[None, k, :], out=tv)
-                ob += tv
+    if inner >= 256 and a.shape[-2] >= 256:
+        a_k = np.ascontiguousarray(a_k)
+    lead = len(out)
+    per_block = _MATMUL_BLOCK_BYTES * lead // (8 * out.size)
+    if per_block >= lead:
+        _accumulate(out, a_k, b_k, np.empty(out.shape))
+        return out
+    per_block = max(1, per_block)
+    tmp = np.empty((per_block,) + out.shape[1:])
+    for r0 in range(0, lead, per_block):
+        ob = out[r0:r0 + per_block]
+        _accumulate(ob, a_k[:, r0:r0 + per_block],
+                    b_k if a.ndim == 2 else b_k[:, r0:r0 + per_block], tmp[:len(ob)])
     return out
 
 
+def _accumulate(out: np.ndarray, a_k: np.ndarray, b_k: np.ndarray, tmp: np.ndarray) -> None:
+    """out += a_k[k] * b_k[k] for k = 0, 1, ... in turn; tmp holds each product."""
+    for k in range(len(a_k)):
+        np.multiply(a_k[k], b_k[k], out=tmp)
+        out += tmp
+
+
 def transpose(m: Matrix) -> Matrix:
-    return np.ascontiguousarray(m.T)
+    """The last two axes swapped, contiguous."""
+    return np.ascontiguousarray(m.swapaxes(-1, -2))
 
 
 def row_sums(m: Matrix) -> np.ndarray:
-    return m.sum(axis=1)
+    return m.sum(axis=-1)
 
 
 def row_softmax(m: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction.
 
-    -inf entries are supported (they map to exact zeros) as long as each row
-    keeps at least one finite entry.
+    Rows run along the last axis.  -inf entries are supported (they map to
+    exact zeros) as long as each row keeps at least one finite entry.
     """
-    mx = np.max(m, axis=1, keepdims=True)
+    mx = np.max(m, axis=-1, keepdims=True)
     e = np.exp(m - mx)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def row_rmsnorm(m: Matrix, eps: float) -> Matrix:

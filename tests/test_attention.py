@@ -266,7 +266,7 @@ class TestCausalChunks:
         Q, K, V = seeded_qkv(24, 200, 4)
         spec = AttentionSpec(mech, kernel="1+elu", causal=True)
         full = forward(Q, K, V, spec).O
-        for m in (1, 63, 64, 65, 130, 199):
+        for m in (0, 1, 63, 64, 65, 130, 199):
             assert np.array_equal(forward(Q[:m], K[:m], V[:m], spec).O, full[:m]), m
 
 

@@ -134,6 +134,12 @@ class TestSeedResolution:
                          "--d", "4", "--x0sq", "1e-4")
         assert json.loads(out)["config"]["seed"] == 9
 
+    def test_non_integer_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATTNLAB_SEED", "abc")
+        code = main(["adversarial", "--n", "4", "--d", "4", "--x0sq", "1e-4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: ATTNLAB_SEED must be an integer, got 'abc'\n"
+
 
 class TestDilutionCommand:
     def test_writes_csvs_and_areas(self, capsys, tmp_path):

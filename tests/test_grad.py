@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnlab import grad, linalg
+from attnlab import attention, grad, linalg
 from attnlab.attention import (AttentionSpec, ZeroDenominatorError, diag_forward, forward,
                                vanilla_forward)
 from attnlab.kernels import get_kernel
@@ -418,6 +418,33 @@ class TestSoftmaxTile:
         assert np.array_equal(a.O, b.O) and np.array_equal(a.P, b.P)
         for x, y in zip(grad.backward(Q, K, V, dO, plain), grad.backward(Q, K, V, dO, rela)):
             assert np.array_equal(x, y)
+
+
+class TestDiagTiles:
+    """diag runs all its blocks as one tile stack; that equals a walk over
+    the blocks, one 2-D tile at a time, bit for bit."""
+
+    @pytest.mark.parametrize("n,w", [(0, 1), (0, 4), (12, 1), (12, 4), (12, 12)])
+    @pytest.mark.parametrize("score_fn", ["softmax", "rela"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_equals_per_block_tiles(self, n, w, score_fn, causal):
+        d = 3
+        Q, K, V = seeded_qkv(90 + n + w, n, d)
+        dO = linalg.uniform(n, d, seed=91 + n + w)
+        spec = AttentionSpec("diag", block_size=w, causal=causal, diag_score_fn=score_fn)
+        O, P = np.empty((n, d)), np.zeros((n, n))
+        grads = [np.empty((n, d)) for _ in range(3)]
+        for start in range(0, n, w):
+            b = slice(start, start + w)
+            O[b], P[b, b] = attention._tile(Q[b], K[b], V[b], spec, score_fn)
+            for g, gb in zip(grads, grad._tile_backward(Q[b], K[b], V[b], dO[b], spec,
+                                                        score_fn)):
+                g[b] = gb
+        out = diag_forward(Q, K, V, spec, reference=True)
+        assert np.array_equal(out.O, O) and np.array_equal(out.P, P)
+        assert diag_forward(Q, K, V, spec).P is None
+        for got, want in zip(grad.diag_backward(Q, K, V, dO, spec), grads):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _min_abs_block_score(Q, K, V, w):

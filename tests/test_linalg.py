@@ -38,10 +38,39 @@ class TestMatmul:
         got = linalg.matmul(a, b)
         want = matmul_triple_loop(a, b)
         assert np.max(np.abs(got - want)) == 0.0
+        # a batch of products: each entry is the 2-D product, bit for bit
+        a3 = linalg.uniform(5 * 8, 4, seed=17).reshape(5, 8, 4)
+        b3 = linalg.uniform(5 * 4, 8, seed=19).reshape(5, 4, 8)
+        got3 = linalg.matmul(a3, b3)
+        assert got3.shape == (5, 8, 8)
+        for i in range(5):
+            assert np.array_equal(got3[i], linalg.matmul(a3[i], b3[i]))
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((20, 100, 10), (20, 10, 300)),   # several entries per block, a short last block
+        ((2, 600, 4), (2, 4, 1000)),      # one entry outgrows a block
+        ((3, 256, 256), (3, 256, 8)),     # long inner axis: a is transposed first
+        ((0, 1, 3), (0, 3, 2)),           # an empty stack
+    ])
+    def test_batched_blocks_match_entries(self, a_shape, b_shape):
+        a = linalg.uniform(int(np.prod(a_shape[:2])), a_shape[2], seed=23).reshape(a_shape)
+        b = linalg.uniform(int(np.prod(b_shape[:2])), b_shape[2], seed=29).reshape(b_shape)
+        got = linalg.matmul(a, b)
+        assert got.shape == a_shape[:2] + b_shape[2:]
+        for i in range(len(a)):
+            assert np.array_equal(got[i], linalg.matmul(a[i], b[i]))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3), (2, 3)),
+        ((4, 2, 3), (4, 2, 3)),          # inner axes differ
+        ((4, 2, 3), (5, 3, 2)),          # batch axes differ
+        ((2, 3), (4, 3, 2)),             # 2-D times 3-D
+        ((4, 2, 3), (3, 2)),             # 3-D times 2-D
+        ((3,), (3, 2)),
+    ])
+    def test_dimension_mismatch_rejected(self, a_shape, b_shape):
         with pytest.raises(ValueError):
-            linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+            linalg.matmul(np.zeros(a_shape), np.zeros(b_shape))
 
     def test_identity_then_vector_is_exact(self):
         m = linalg.uniform(6, 6, seed=3)
