@@ -335,6 +335,11 @@ def _config_type_ok(kind, value) -> bool:
     return isinstance(value, kind)  # kind may be Optional[str]
 
 
+def _given(args, *names: str) -> dict:
+    """The flags among `names` given on the command line; each defaults to None."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _check_sizes(**sizes: int) -> None:
     """A size flag below 1 is a usage error that names the flag and its value."""
     for name, value in sizes.items():
@@ -379,11 +384,22 @@ def cmd_adversarial(args) -> int:
     return 0
 
 
+# Flags that only dilution's seeded projections read, with their defaults; with
+# --config the model comes from the file, so passing one is a usage error.
+_PROJECTION_DEFAULTS = {"d": 16, "block_size": 8, "epsilon": 1e-5, "kernel": "1+elu",
+                        "causal": False, "mechanisms": "vanilla,linear,diag"}
+
+
 def cmd_dilution(args) -> int:
     seed = _resolve_seed(args)
     outdir = args.out or "."
+    given = _given(args, *_PROJECTION_DEFAULTS)
     if args.config:
+        if given:
+            raise ValueError(f"--{next(iter(given)).replace('_', '-')}: not read with "
+                             "--config, which takes the model from the file")
         return _dilution_from_model(args, seed, outdir)
+    vars(args).update(_PROJECTION_DEFAULTS | given)
     if args.input:
         X = read_matrix_file(args.input)
         if X.size == 0:
@@ -490,26 +506,12 @@ def cmd_pad_forward(args) -> int:
         raise ValueError("pad-forward requires --out")
     cfg_kwargs = _load_config_file(args)
     # only explicitly-given flags override the config file
-    if args.block_size is not None:
-        cfg_kwargs["block_size"] = args.block_size
-    if args.causal:
-        cfg_kwargs["causal"] = True
-    if args.seed is not None:
-        cfg_kwargs["seed"] = args.seed
-    if args.heads is not None:
-        cfg_kwargs["n_heads"] = args.heads
-    if args.variant is not None:
-        cfg_kwargs["variant"] = args.variant
-    if args.epsilon is not None:
-        cfg_kwargs["epsilon"] = args.epsilon
+    cfg_kwargs |= _given(args, "block_size", "causal", "seed", "n_heads", "variant", "epsilon")
     cfg_kwargs.setdefault("seed", _resolve_seed(args))
     config = model.ModelConfig(**cfg_kwargs)
     X = read_matrix_file(args.input)
     if X.size == 0:
-        write_matrix_file(args.out, np.zeros((0, config.d_model)))
-        _emit({"command": "pad_forward", "config": json.loads(config.to_json()),
-               "rows_in": 0, "rows_out": 0, "padded_to": 0}, None)
-        return 0
+        X = X.reshape(0, config.d_model)
     n = X.shape[0]
     w = config.block_size
     padded_n = ((n + w - 1) // w) * w
@@ -539,12 +541,12 @@ _SHARED_FLAGS = {
     "--seed": dict(type=int, help="root seed (or ATTNLAB_SEED env var; default 7)"),
     "--n": dict(type=int),
     "--d": dict(type=int),
-    "--heads": dict(type=int),
+    "--heads": dict(type=int, dest="n_heads"),
     "--block-size": dict(type=int, dest="block_size"),
     "--epsilon": dict(type=float),
     "--kernel": dict(default="1+elu", choices=sorted(kernels.KERNELS)),
     "--variant": dict(choices=("t1", "t2")),
-    "--causal": dict(action="store_true"),
+    "--causal": dict(action="store_true", default=None),
     "--out": dict(),
     "--config": dict(help="JSON config file"),
 }
@@ -576,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilution", help="write locality curves as CSV")
     _add_shared(p, "--seed", "--n", "--d", "--block-size", "--epsilon", "--kernel",
                 "--causal", "--out", "--config")
-    p.add_argument("--mechanisms", default="vanilla,linear,diag")
+    p.add_argument("--mechanisms")
     p.add_argument("--input", default=None,
                    help="whitespace-separated matrix file (else seeded random)")
-    p.set_defaults(fn=cmd_dilution, n=64, d=16, block_size=8, epsilon=1e-5)
+    p.set_defaults(fn=cmd_dilution, n=64, kernel=None)
 
     p = sub.add_parser("bench", help="scaling benchmark, CSV output")
     _add_shared(p, "--seed", "--d", "--out")

@@ -4,19 +4,16 @@ Two views of the same question "how local is the attention mass?":
 
 * :func:`local_score` sums a row over a centered window covering a given
   fraction of the sequence (score as a function of window ratio).
-* :func:`dilution_curve` walks an expanding window outward from the diagonal,
-  alternating sides, and records the window length at which each of 100
-  evenly spaced score thresholds is first reached (ratio as a function of
-  score), averaged over rows.
+* :func:`dilution_curve` grows a window outward from the diagonal and records
+  the window length at which each of 100 evenly spaced score thresholds is
+  first reached (ratio as a function of score), averaged over rows.
 
-The expansion walk preserves the reference procedure's semantics: expansion
-alternates sides starting with the left neighbour, column 0 is only counted
-when it is the starting center, cursors clip at the row ends, and rows that
-never reach a threshold saturate at the full row length.  Two deliberate
-normalizations: the recorded length is the covered span itself rather than
-the cursor distance (which would overshoot by two), and the threshold
-comparison carries an absolute slack of 1e-9 so float row sums behave like
-their exact-arithmetic values.
+Row i's window takes its columns in one expansion order: the center, then the
+left and right neighbours in turn, left first, a side clipped at the row end
+skipped, and column 0 joining only as the center.  A threshold records the
+window's span, 1 plus the first position in that order where the running sum
+reaches the threshold less an absolute slack of 1e-9 (so float row sums act
+like their exact values), or the full row length when no position does.
 """
 
 from __future__ import annotations
@@ -86,71 +83,64 @@ def local_score(P: Matrix, i: int, r: float) -> float:
 
 def row_expansion_curve(row: np.ndarray, center: int,
                         thresholds: np.ndarray) -> np.ndarray:
-    """Window lengths recorded by the alternating expansion for one row.
+    """Recorded window lengths of one row expanding around `center`, one per
+    increasing threshold; entry 0 is 0."""
+    return _expansion_lengths(row[None, :], np.array([center]), thresholds)
 
-    The covered interval [lo, hi] starts at the center and grows one column
-    per step, left side first; column 0 only ever joins as the starting
-    center.  A row whose reachable mass never crosses the remaining
-    thresholds saturates them at the full row length.
+
+def _expansion_lengths(rows: Matrix, centers: np.ndarray,
+                       thresholds: np.ndarray) -> np.ndarray:
+    """Sum of row_expansion_curve(rows[i], centers[i]) over i, for all rows at once.
+
+    The expansion order sorts a row's columns by key: 0 at the center, 2k - 1
+    at distance k to the left, 2k to the right, and last, counting 0.0, an
+    excluded column 0.  np.add.accumulate adds along it one column at a time,
+    as the window grows, so each sum is bit for bit the window's mass; with
+    finite entries, the running maximum first reaches a threshold where they do.
     """
-    m = row.shape[0]
+    k, m = rows.shape
     num = thresholds.shape[0]
-    cnt = np.zeros(num)
-    s = float(row[center])
-    lo = hi = center
-    lo_limit = 0 if center == 0 else 1
-    j = 1
-    flag = 0
-    while j < num:
-        if s >= thresholds[j] - CROSSING_SLACK:
-            cnt[j] = hi - lo + 1
-            j += 1
-            continue
-        if lo == lo_limit and hi == m - 1:
-            break  # exhausted: no candidate columns remain
-        if flag == 1:
-            if hi < m - 1:
-                hi += 1
-                s += float(row[hi])
-            flag = 0
-        else:
-            if lo > lo_limit:
-                lo -= 1
-                s += float(row[lo])
-            flag = 1
-    if j < num:
-        cnt[j:] = m  # saturate: these thresholds would need the whole row
-    cnt[0] = 0.0
-    return cnt
+    order = np.abs(4 * (np.arange(m) - centers[:, None]) + 1) // 2  # 2k right, 2k - 1 left
+    order[centers > 0, :1] = 2 * m  # column 0 joins only as the center: last, as 0.0
+    order = np.argsort(order, axis=1, kind="stable")  # timsort: a row's keys form two runs
+    sums = np.take_along_axis(rows, order, axis=1)
+    sums[centers > 0, -1:] = 0.0
+    np.add.accumulate(sums, axis=1, out=sums)
+    np.maximum.accumulate(sums, axis=1, out=sums)
+    # j is first reached after the positions reaching <= j; never reached: m, not m + 1
+    reached = np.searchsorted(thresholds - CROSSING_SLACK, sums, side="right")
+    short = np.bincount(reached.ravel(), minlength=num + 1)[:num]
+    short -= np.bincount(reached[:, -1:].ravel(), minlength=num + 1)[:num]
+    lengths = (np.cumsum(short) + k).astype(float)
+    lengths[0] = 0.0
+    return lengths
 
 
 def dilution_curve(P: Matrix) -> DilutionCurve:
     """Average expanding-window curve over the rows of a square weight matrix.
 
-    Rows must sum to 1 within ROW_SUM_TOL; all-zero rows (ReLU scores can
-    produce them) are skipped and counted in the result.
+    Entries must be finite and rows must sum to 1 within ROW_SUM_TOL; all-zero
+    rows (ReLU scores can produce them) are skipped and counted in the result.
     """
     n, m = P.shape
     if n != m:
         raise ValueError(f"expected a square matrix, got {P.shape}")
     thresholds = np.linspace(0.0, 1.0, NUM_THRESHOLDS)
+    finite = np.isfinite(P).all(axis=1)
+    if not np.all(finite):
+        raise ValueError(f"row {int(np.argmin(finite))} holds a non-finite entry")
     sums = P.sum(axis=1)
     zero_rows = np.abs(sums) < ROW_SUM_TOL
     bad = ~zero_rows & (np.abs(sums - 1.0) > ROW_SUM_TOL)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 +- {ROW_SUM_TOL}")
-    cnts = np.zeros(NUM_THRESHOLDS)
-    used = 0
-    for i in range(n):
-        if zero_rows[i]:
-            continue
-        cnts += row_expansion_curve(P[i], i, thresholds)
-        used += 1
-    if used:
-        cnts = cnts / used / m
-    return DilutionCurve(thresholds=thresholds, ratios=cnts, n=used, m=m,
-                         skipped_rows=int(np.sum(zero_rows)))
+    used = np.flatnonzero(~zero_rows)
+    cnts = _expansion_lengths(P[used], used, thresholds)
+    if used.size:
+        cnts = cnts / used.size / m
+    return DilutionCurve(thresholds=thresholds, ratios=cnts, n=used.size, m=m,
+                         skipped_rows=n - used.size)
 
 
 def map_curve(maps) -> DilutionCurve:

@@ -82,11 +82,13 @@ def unified_dp_ds(P: Matrix, S: Matrix, kernel: KernelFn) -> np.ndarray:
     if n > DENSE_JACOBIAN_MAX_N:
         raise ValueError(f"dense Jacobian capped at n={DENSE_JACOBIAN_MAX_N}")
     g = _prefactor(S, kernel)
-    J = np.empty((n, n, n))
+    # J[i] = diag(P[i]) - outer(P[i], P[i]), built in place: a broadcast product
+    # buffers its operands, and each n^3 temporary slows n = 64 several times
+    J = np.einsum("ij,ik->ijk", P, P)
+    np.negative(J, out=J)
+    J[:, np.arange(n), np.arange(n)] += P
     with np.errstate(invalid="ignore"):  # 0 * inf where a zero factor meets f(s) = 0
-        for i in range(n):
-            p = P[i]
-            J[i] = (np.diag(p) - np.outer(p, p)) * g[i][None, :]
+        J *= g[:, None, :]
     return J
 
 

@@ -85,7 +85,7 @@ def row_softmax(m: Matrix) -> Matrix:
     Rows run along the last axis.  -inf entries are supported (they map to
     exact zeros) as long as each row keeps at least one finite entry.
     """
-    mx = np.max(m, axis=-1, keepdims=True)
+    mx = np.max(m, axis=-1, keepdims=True, initial=-np.inf)
     e = np.exp(m - mx)
     return e / e.sum(axis=-1, keepdims=True)
 

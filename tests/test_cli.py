@@ -374,6 +374,11 @@ UNREAD_FLAGS = {
     "pad-forward": ["--n 4", "--d 4", "--kernel relu"],
 }
 
+# Flags that only dilution's seeded-projection path reads: --config takes the
+# model from its file, so each is a usage error beside it.
+CONFIG_UNREAD_FLAGS = ["--d 3", "--block-size 8", "--epsilon 0.5", "--kernel relu",
+                       "--causal", "--mechanisms vanilla"]
+
 
 def _usage_case(*argv, config=None):
     """A (argv, config) case named by its flags and the config's JSON."""
@@ -419,6 +424,17 @@ class TestUsageErrors:
             main([command, *base, *flag.split()])
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", CONFIG_UNREAD_FLAGS)
+    def test_flag_config_does_not_read_exits_2(self, capsys, tmp_path, flag):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"n_layers": 1, "n_early": 1}))
+        code = main(["dilution", "--config", str(cfg_path), "--n", "8", *flag.split(),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: " + flag.split()[0] + ":")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["dilution", "--epsilon", "0"], ["dilution", "--block-size", "0"],

@@ -1,10 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnlab import dilution, linalg
-from attnlab.attention import AttentionSpec, diag_forward, linear_scaled_forward
+from attnlab.attention import AttentionSpec, diag_forward, forward, linear_scaled_forward
 from attnlab.dilution import (CROSSING_SLACK, DilutionCurve, compare_curves,
                               dilution_curve, local_score, row_expansion_curve)
+
+
+def walk_row_expansion_curve(row, center, thresholds):
+    """The stateful expansion walk that the closed form replaced, kept as the
+    reference it must match bit for bit."""
+    m = row.shape[0]
+    num = thresholds.shape[0]
+    cnt = np.zeros(num)
+    s = float(row[center])
+    lo = hi = center
+    lo_limit = 0 if center == 0 else 1
+    j = 1
+    flag = 0
+    while j < num:
+        if s >= thresholds[j] - CROSSING_SLACK:
+            cnt[j] = hi - lo + 1
+            j += 1
+            continue
+        if lo == lo_limit and hi == m - 1:
+            break  # exhausted: no candidate columns remain
+        if flag == 1:
+            if hi < m - 1:
+                hi += 1
+                s += float(row[hi])
+            flag = 0
+        else:
+            if lo > lo_limit:
+                lo -= 1
+                s += float(row[lo])
+            flag = 1
+    if j < num:
+        cnt[j:] = m  # saturate: these thresholds would need the whole row
+    cnt[0] = 0.0
+    return cnt
+
+
+def walk_dilution_curve(P):
+    """(ratios, n, skipped_rows) of the per-row loop over the walk."""
+    n, m = P.shape
+    thresholds = np.linspace(0.0, 1.0, dilution.NUM_THRESHOLDS)
+    zero_rows = np.abs(P.sum(axis=1)) < dilution.ROW_SUM_TOL
+    cnts = np.zeros(dilution.NUM_THRESHOLDS)
+    used = 0
+    for i in range(n):
+        if zero_rows[i]:
+            continue
+        cnts += walk_row_expansion_curve(P[i], i, thresholds)
+        used += 1
+    if used:
+        cnts = cnts / used / m
+    return cnts, used, int(np.sum(zero_rows))
 
 
 def brute_force_recorded_lengths(row, center, thresholds):
@@ -138,6 +191,77 @@ class TestDilutionCurve:
         assert len(lines) == 101
         t0, r0 = lines[1].split(",")
         assert float(t0) == 0.0 and float(r0) == 0.0
+
+
+def seeded_map(kind, n, seed):
+    """An n x n map whose rows sum to 1, except the rows a kind zeroes."""
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "all_zero":
+        return np.zeros((n, n))
+    if kind in ("uniform", "zero_rows"):
+        raw = linalg.uniform(n, n, seed=seed, low=0.0, high=1.0)
+    elif kind == "sharp":
+        raw = linalg.uniform(n, n, seed=seed, low=0.0, high=1.0) ** 12
+    else:  # negative entries; spreading the row's deficit keeps them
+        raw = linalg.uniform(n, n, seed=seed, low=-1.0, high=1.0)
+        return raw + (1.0 - raw.sum(axis=1, keepdims=True)) / n
+    P = raw / raw.sum(axis=1, keepdims=True)
+    if kind == "zero_rows":
+        P[::3] = 0.0
+    return P
+
+
+def mechanism_map(mechanism, n, seed, **spec):
+    Q, K, V = (linalg.uniform(n, 4, seed=linalg.split_seed(seed, i)) for i in range(3))
+    P = forward(Q, K, V, AttentionSpec(mechanism, **spec), reference=True).P
+    return dilution.scores_to_distribution(P)
+
+
+MAP_KINDS = ("uniform", "sharp", "identity", "zero_rows", "all_zero", "negative")
+
+
+def assert_matches_walk(P):
+    curve = dilution_curve(P)
+    ratios, used, skipped = walk_dilution_curve(P)
+    assert np.array_equal(curve.ratios, ratios)
+    assert (curve.n, curve.skipped_rows) == (used, skipped)
+    thresholds = np.linspace(0.0, 1.0, dilution.NUM_THRESHOLDS)
+    m = P.shape[0]
+    for i in range(m):
+        for center in {0, i, m - 1}:
+            got = row_expansion_curve(P[i], center, thresholds)
+            assert np.array_equal(got, walk_row_expansion_curve(P[i], center, thresholds)), i
+
+
+class TestClosedFormMatchesWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_seeded_maps(self, kind, n):
+        assert_matches_walk(seeded_map(kind, n, seed=300 + n))
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("mechanism,spec", [
+        ("diag", {"block_size": 4, "diag_score_fn": "rela"}),
+        ("diag", {"block_size": 4}),
+        ("linear", {}),
+        ("norm", {}),
+        ("vanilla", {})], ids=["rela", "diag", "linear", "norm", "vanilla"])
+    def test_mechanism_maps(self, mechanism, spec, causal):
+        assert_matches_walk(mechanism_map(mechanism, 24, seed=310, causal=causal, **spec))
+
+    @given(st.sampled_from(MAP_KINDS), st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_random_maps(self, kind, n, seed):
+        assert_matches_walk(seeded_map(kind, n, seed))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # a row holding both infinities sums to NaN, which no tolerance test rejects
+        P = np.eye(5)
+        P[3, 1], P[3, 2] = bad, -bad
+        with pytest.raises(ValueError, match=r"^row 3 holds a non-finite entry$"):
+            dilution_curve(P)
 
 
 class TestConsistencyWithLocalScore:

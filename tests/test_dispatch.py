@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attnlab import attention, grad, linalg
+from attnlab import attention, grad, linalg, model
 from attnlab.attention import MECHANISMS, AttentionSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,6 +70,20 @@ def test_backward_equals_mechanism_backward(mech, causal):
     want = direct(Q, K, V, dO, spec)[:3]
     got = grad.backward(Q, K, V, dO, spec)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+@pytest.mark.parametrize("causal", [False, True])
+def test_empty_sequence_gives_empty_outputs(mech, causal):
+    X = np.zeros((0, 4))
+    spec = AttentionSpec(mech, block_size=4, causal=causal)
+    for reference in (False, True):
+        assert attention.forward(X, X, X, spec, reference=reference).O.shape == (0, 4)
+    assert [g.shape for g in grad.backward(X, X, X, X, spec)] == [(0, 4)] * 3
+    override = None if mech == "linear" else mech  # no layer runs linear
+    config = model.ModelConfig(n_layers=2, n_early=1, d_model=4, n_heads=2, block_size=4,
+                               causal=causal, attention_override=override)
+    assert model.model_forward(X, config).shape == (0, 4)
 
 
 @pytest.mark.parametrize("name", ["long-seq", "model-step", "lab-small"])
