@@ -108,15 +108,22 @@ def _from_tiles(X: np.ndarray, n: int) -> Matrix:
 def _tile(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
           score_fn: str) -> tuple[Matrix, Matrix]:
     """(O, P) of softmax-family attention over square tiles, one matrix or a
-    stack of them: scores divided by sqrt(d) when spec.scaled, masked when
-    spec.causal, then normalized by row softmax or rela_scores."""
+    stack of them: the _tile_scores map P, then P V."""
+    P = _tile_scores(Q, K, spec, score_fn)[1]
+    return linalg.matmul(P, V), P
+
+
+def _tile_scores(Q: Matrix, K: Matrix, spec: AttentionSpec,
+                 score_fn: str) -> tuple[Matrix, Matrix]:
+    """(S, P), the score step of _tile: scores divided by sqrt(d) when
+    spec.scaled, masked when spec.causal, then normalized by row softmax or
+    rela_scores."""
     S = linalg.matmul(Q, linalg.transpose(K))
     if spec.scaled:
         S = S / np.sqrt(Q.shape[-1])
     if spec.causal:
         S = _causal_neg_inf(S) if score_fn == "softmax" else _causal_zero(S)
-    P = linalg.row_softmax(S) if score_fn == "softmax" else rela_scores(S)
-    return linalg.matmul(P, V), P
+    return S, linalg.row_softmax(S) if score_fn == "softmax" else rela_scores(S)
 
 
 def _feature_scores(Q: Matrix, K: Matrix, kernel: KernelFn,
@@ -156,13 +163,20 @@ def _kernel_attention(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     if reference:
         _, _, S = _feature_scores(Q, K, spec.kernel_fn, spec.causal)
         return linalg.matmul(S, V), linalg.row_sums(S) if linear else None, S
-    kern = spec.kernel_fn
     Vt = _value_columns(V, spec)
     if spec.causal:
-        Tz = _linear_causal(Q, K, Vt, kern)
+        Tz = _linear_causal(Q, K, Vt, spec.kernel_fn)
     else:
-        Tz = linalg.matmul(kern.apply(Q), linalg.matmul(linalg.transpose(kern.apply(K)), Vt))
+        Tz = _kernel_state(Q, K, Vt, spec.kernel_fn)[-1]
     return (Tz[:, :-1], Tz[:, -1], None) if linear else (Tz, None, None)
+
+
+def _kernel_state(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn):
+    """(phi(Q), phi(K), M, T) of the non-causal efficient form: the d x d
+    state M = phi(K)^T Vt and T = phi(Q) M."""
+    FQ, FK = kernel.apply(Q), kernel.apply(K)
+    M = linalg.matmul(linalg.transpose(FK), Vt)
+    return FQ, FK, M, linalg.matmul(FQ, M)
 
 
 def _value_columns(V: Matrix, spec: AttentionSpec) -> Matrix:
@@ -224,8 +238,12 @@ def rela_scores(S_block: Matrix) -> Matrix:
     """
     if S_block.shape[-2] != S_block.shape[-1]:
         raise ValueError("rela_scores expects a square block")
-    R = np.maximum(S_block, 0.0)
-    return R / (R.sum(axis=-1, keepdims=True) + RELA_EPS)
+    return np.maximum(S_block, 0.0) / _rela_denominator(S_block)
+
+
+def _rela_denominator(S: Matrix) -> Matrix:
+    """rela_scores' divisor: each row's ReLU sum plus the guard, as a column."""
+    return np.maximum(S, 0.0).sum(axis=-1, keepdims=True) + RELA_EPS
 
 
 def diag_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
@@ -235,7 +253,6 @@ def diag_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     The sequence length must be a multiple of the block size; padding is the
     caller's job.  Tokens never attend across blocks.
     """
-    _check_shapes(Q, K, V)
     n = Q.shape[0]
     O, P = _tile(*_diag_tiles(spec, Q, K, V), spec, spec.diag_score_fn)
     if not reference:
@@ -264,15 +281,19 @@ def forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     return diag_forward(Q, K, V, spec, reference=reference)
 
 
-def _check_shapes(Q: Matrix, K: Matrix, V: Matrix) -> None:
+def _check_shapes(Q: Matrix, K: Matrix, V: Matrix, dO: Optional[Matrix] = None) -> None:
+    """Q and K share a shape, V has their rows, a given dO has V's shape."""
     if Q.shape != K.shape:
         raise ValueError(f"Q and K must share a shape, got {Q.shape} vs {K.shape}")
     if V.shape[0] != Q.shape[0]:
         raise ValueError(f"V has {V.shape[0]} rows, expected {Q.shape[0]}")
+    if dO is not None and dO.shape != V.shape:
+        raise ValueError(f"dO has shape {dO.shape}, expected V's shape {V.shape}")
 
 
 def _diag_tiles(spec: AttentionSpec, *Xs: Matrix) -> list[np.ndarray]:
-    """Xs cut into diag's spec.block_size-row blocks, which must divide n."""
+    """Xs = (Q, K, V[, dO]), checked, cut into diag's w-row blocks; w must divide n."""
+    _check_shapes(*Xs)
     n, w = len(Xs[0]), spec.block_size
     if n % w != 0:
         raise ValueError(f"sequence length {n} is not a multiple of block size {w}")

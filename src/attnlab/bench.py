@@ -53,13 +53,6 @@ def results_to_csv(results: Sequence[BenchResult]) -> str:
     return buf.getvalue()
 
 
-def _make_inputs(n: int, d: int, seed: int):
-    Q = linalg.uniform(n, d, linalg.split_seed(seed, 1), -0.5, 0.5)
-    K = linalg.uniform(n, d, linalg.split_seed(seed, 2), -0.5, 0.5)
-    V = linalg.uniform(n, d, linalg.split_seed(seed, 3), -0.5, 0.5)
-    return Q, K, V
-
-
 def _run_once(mechanism: str, Q, K, V, mode: str) -> None:
     spec = AttentionSpec(mechanism)
     if mode == "forward":
@@ -83,7 +76,7 @@ def track_peak_memory(run: Callable[[], None]) -> int:
 def bench_cell(mechanism: str, n: int, d: int, reps: int, seed: int,
                mode: str = "forward") -> BenchResult:
     """Median wall-clock of warm reps plus one traced run for peak bytes."""
-    Q, K, V = _make_inputs(n, d, seed)
+    Q, K, V = linalg._seeded_qkv(seed, n, d, -0.5, 0.5)
     try:
         for _ in range(WARMUP_REPS):
             _run_once(mechanism, Q, K, V, mode)
@@ -130,8 +123,8 @@ def loglog_slope(results: Sequence[BenchResult], mechanism: str,
 def peak_ratio(mechanism: str, n: int, d: int, seed: int = 7,
                mode: str = "forward") -> float:
     """Peak-bytes growth factor when the sequence length doubles."""
-    Q1, K1, V1 = _make_inputs(n, d, seed)
-    Q2, K2, V2 = _make_inputs(2 * n, d, seed)
+    Q1, K1, V1 = linalg._seeded_qkv(seed, n, d, -0.5, 0.5)
+    Q2, K2, V2 = linalg._seeded_qkv(seed, 2 * n, d, -0.5, 0.5)
     p1 = track_peak_memory(lambda: _run_once(mechanism, Q1, K1, V1, mode))
     p2 = track_peak_memory(lambda: _run_once(mechanism, Q2, K2, V2, mode))
     return p2 / p1

@@ -29,13 +29,6 @@ DEFAULT_SEED = 7
 # ---------------------------------------------------------------------------
 
 
-def _seeded_qkv(seed: int, n: int, d: int, lo: float = -1.0, hi: float = 1.0):
-    Q = linalg.uniform(n, d, linalg.split_seed(seed, 1), lo, hi)
-    K = linalg.uniform(n, d, linalg.split_seed(seed, 2), lo, hi)
-    V = linalg.uniform(n, d, linalg.split_seed(seed, 3), lo, hi)
-    return Q, K, V
-
-
 class _Suite:
     """One suite's checks: each check's worst value, its bound and pass flag,
     and the seeds whose value broke a check."""
@@ -70,9 +63,8 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         s = linalg.split_seed(seed, 10, t)
         n = 2 + s % 15
         d = 1 + (s >> 8) % 8
-        Q, K, V = _seeded_qkv(s, n, d)
-        S = linalg.matmul(Q, linalg.transpose(K)) / math.sqrt(d)
-        P = linalg.row_softmax(S)
+        Q, K, V = linalg._seeded_qkv(s, n, d)
+        S, P = attention._tile_scores(Q, K, AttentionSpec("vanilla"), "softmax")
         suite.see("vanilla_max_dp_ds", grad._max_abs_dp_ds(P, S, kernels.get_kernel("exp")),
                   0.25 + 1e-12, s)
 
@@ -80,9 +72,9 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         s = linalg.split_seed(seed, 11, t)
         n = 2 + s % 7
         d = 1 + (s >> 8) % 4
-        Q, K, V = _seeded_qkv(s, n, d)
-        _, _, S = attention._feature_scores(Q, K, kernels.get_kernel("1+elu"), causal=False)
-        P = S / linalg.row_sums(S)[:, None]
+        Q, K, V = linalg._seeded_qkv(s, n, d)
+        _, z, S = attention._kernel_attention(Q, K, V, AttentionSpec("linear"), reference=True)
+        P = S / z[:, None]
         c3 = float(np.min(np.abs(S)))
         m = grad._max_abs_dp_ds(P, S, kernels.get_kernel("identity"))
         suite.see("linear_dp_ds_excess_over_quarter_c3", m - 1.0 / (4.0 * c3), 1e-9, s)
@@ -90,7 +82,7 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
     for t in range(trials):
         s = linalg.split_seed(seed, 12, t)
         eps = 1e-3 if t % 2 == 0 else 1e-5
-        Q, K, V = _seeded_qkv(s, 8, 8)
+        Q, K, V = linalg._seeded_qkv(s, 8, 8)
         dO = linalg.uniform(8, 8, linalg.split_seed(s, 4))
         spec = AttentionSpec("norm", kernel="1+elu", epsilon=eps)
         _, _, _, rep = grad.norm_backward(Q, K, V, dO, spec)
@@ -120,7 +112,7 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         n = 2 + s % 63
         d = 1 + (s >> 8) % 16
         causal = (t % 3 == 0)
-        Q, K, V = _seeded_qkv(s, n, d)
+        Q, K, V = linalg._seeded_qkv(s, n, d)
         for mech in ("linear", "norm"):
             spec = AttentionSpec(mech, kernel="1+elu", causal=causal)
             eff = attention.forward(Q, K, V, spec).O
@@ -134,7 +126,7 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         blocks = 1 + (s >> 8) % 4
         n = w * blocks
         d = 1 + (s >> 16) % 8
-        Q, K, V = _seeded_qkv(s, n, d)
+        Q, K, V = linalg._seeded_qkv(s, n, d)
         got = attention.diag_forward(Q, K, V, AttentionSpec("diag", block_size=w)).O
         want = _masked_vanilla(Q, K, V, w)
         suite.see("diag_vs_masked_vanilla", float(np.max(np.abs(got - want))), 1e-12, s)
@@ -143,7 +135,7 @@ def verify_oracle(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         s = linalg.split_seed(seed, 22, t)
         n = 2 + s % 15
         d = 1 + (s >> 8) % 8
-        Q, K, V = _seeded_qkv(s, n, d)
+        Q, K, V = linalg._seeded_qkv(s, n, d)
         got = attention.diag_forward(Q, K, V, AttentionSpec("diag", block_size=n)).O
         want = attention.vanilla_forward(Q, K, V).O
         suite.see("diag_w_eq_n_vs_vanilla", float(np.max(np.abs(got - want))), 1e-14, s)
@@ -173,7 +165,7 @@ def verify_fd(seed: int = DEFAULT_SEED) -> dict:
          linalg.split_seed(seed, 33, 4), seed),
     )
     for name, stream, n, d, spec, dO_seed, failing_seed in cases:
-        Q, K, V = _seeded_qkv(linalg.split_seed(seed, stream), n, d)
+        Q, K, V = linalg._seeded_qkv(linalg.split_seed(seed, stream), n, d)
         dO = linalg.uniform(n, d, dO_seed)
         err = grad._fd_for_mechanism(Q, K, V, dO, spec, grad.backward(Q, K, V, dO, spec))
         suite.see(name, err, tol, failing_seed)
@@ -225,7 +217,7 @@ def verify_dilution(seed: int = DEFAULT_SEED) -> dict:
 
     for t in range(100):
         s = linalg.split_seed(seed, 40, t)
-        Q, K, V = _seeded_qkv(s, 32, 8)
+        Q, K, V = linalg._seeded_qkv(s, 32, 8)
         Pd = attention.diag_forward(Q, K, V, AttentionSpec("diag", block_size=4),
                                     reference=True).P
         Pl = attention.linear_scaled_forward(
@@ -394,16 +386,16 @@ def cmd_dilution(args) -> int:
     seed = _resolve_seed(args)
     outdir = args.out or "."
     given = _given(args, *_PROJECTION_DEFAULTS)
+    if args.config and given:
+        raise ValueError(f"--{next(iter(given)).replace('_', '-')}: not read with "
+                         "--config, which takes the model from the file")
+    X = read_matrix_file(args.input) if args.input else None
+    if X is not None and X.size == 0:  # one check for both paths
+        raise ValueError(f"{args.input}: input is empty")
     if args.config:
-        if given:
-            raise ValueError(f"--{next(iter(given)).replace('_', '-')}: not read with "
-                             "--config, which takes the model from the file")
-        return _dilution_from_model(args, seed, outdir)
+        return _dilution_from_model(args, X, seed, outdir)
     vars(args).update(_PROJECTION_DEFAULTS | given)
-    if args.input:
-        X = read_matrix_file(args.input)
-        if X.size == 0:
-            raise ValueError(f"{args.input}: input is empty")
+    if X is not None:
         n, d = X.shape
     else:
         n, d = args.n, args.d
@@ -423,12 +415,10 @@ def cmd_dilution(args) -> int:
                          "block_size": args.block_size, "input": args.input})
 
 
-def _dilution_from_model(args, seed: int, outdir: str) -> int:
-    """Per-layer curves of a configured model on seeded or file input."""
+def _dilution_from_model(args, X, seed: int, outdir: str) -> int:
+    """Per-layer curves of a configured model on X (--input), else on seeded input."""
     config = model.ModelConfig(**_load_config_file(args))
-    if args.input:
-        X = read_matrix_file(args.input)
-    else:
+    if X is None:
         _check_sizes(n=args.n)
         X = linalg.uniform(args.n, config.d_model, linalg.split_seed(seed, 1))
     curves = {}

@@ -119,42 +119,26 @@ def rmsnorm_backward(T: Matrix, dO: Matrix, eps: float) -> Matrix:
 def vanilla_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
                      spec: Optional[AttentionSpec] = None):
     """Gradients of L through softmax attention given dL/dO."""
+    attention._check_shapes(Q, K, V, dO)
     return _tile_backward(Q, K, V, dO, spec or AttentionSpec("vanilla"), "softmax")
 
 
 def _tile_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec,
                    score_fn: str):
-    """(dQ, dK, dV) through attention._tile: one tile or a stack of them."""
-    alpha = 1.0 / math.sqrt(Q.shape[-1]) if spec.scaled else 1.0
-    S = linalg.matmul(Q, linalg.transpose(K)) * alpha
-    if spec.causal:
-        S = attention._causal_neg_inf(S) if score_fn == "softmax" else attention._causal_zero(S)
+    """(dQ, dK, dV) through attention._tile, one tile or a stack, from its (S, P)."""
+    S, P = attention._tile_scores(Q, K, spec, score_fn)
     dP = linalg.matmul(dO, linalg.transpose(V))
+    dS = dP - np.sum(dP * P, axis=-1, keepdims=True)
     if score_fn == "softmax":
-        P = linalg.row_softmax(S)
-        dS = P * (dP - np.sum(dP * P, axis=-1, keepdims=True))
+        dS = P * dS
     else:
-        R = np.maximum(S, 0.0)
-        z = R.sum(axis=-1, keepdims=True) + attention.RELA_EPS
-        P = R / z
-        dS = (dP - np.sum(dP * P, axis=-1, keepdims=True)) / z * np.where(S >= 0, 1.0, 0.0)
+        dS = dS / attention._rela_denominator(S) * np.where(S >= 0, 1.0, 0.0)
         if spec.causal:
             dS = attention._causal_zero(dS)
+    alpha = 1.0 / math.sqrt(Q.shape[-1]) if spec.scaled else 1.0
     dQ = linalg.matmul(dS, K) * alpha
     dK = linalg.matmul(linalg.transpose(dS), Q) * alpha
     return dQ, dK, linalg.matmul(linalg.transpose(P), dO)
-
-
-def _feature_grads(dS: Matrix, Q: Matrix, K: Matrix, FQ: Matrix, FK: Matrix,
-                   spec: AttentionSpec):
-    """(masked dS, dQ, dK) from dL/dS of S = phi(Q) phi(K)^T: the backward
-    tail of attention._feature_scores."""
-    if spec.causal:
-        dS = attention._causal_zero(dS)
-    kern = spec.kernel_fn
-    dQ = linalg.matmul(dS, FK) * kern.derivative(Q)
-    dK = linalg.matmul(linalg.transpose(dS), FQ) * kern.derivative(K)
-    return dS, dQ, dK
 
 
 def linear_scaled_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
@@ -178,20 +162,24 @@ def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attentio
     Quadratic in n: the report reads the n x n scores.  grad.backward takes
     _state_backward instead, which builds no report.
     """
-    FQ, FK, S = attention._feature_scores(Q, K, spec.kernel_fn, spec.causal)
-    T = linalg.matmul(S, V)
+    attention._check_shapes(Q, K, V, dO)
+    T, z, S = attention._kernel_attention(Q, K, V, spec, reference=True)
     c1 = linalg.row_norm_max(dO)
     c2 = linalg.row_norm_max(V)
     c3 = _min_abs_active(S, np.tri(S.shape[0]) if spec.causal else None)
-    z = linalg.row_sums(S) if spec.mechanism == "linear" else None
     dT, dz = _last_step_backward(T, z, dO, spec)
     if z is None:
         bound = 3.0 * c1 * c2 * V.shape[1] / (2.0 * math.sqrt(spec.epsilon))
     else:
         bound = math.sqrt(S.shape[0]) * c1 * c2 / (4.0 * c3) if c3 > 0 else math.inf
     dV = linalg.matmul(linalg.transpose(S), dT)
-    dS, dQ, dK = _feature_grads(linalg.matmul(dT, linalg.transpose(V)) + dz,
-                                Q, K, FQ, FK, spec)
+    # dL/dS, then back through attention._feature_scores' S = phi(Q) phi(K)^T
+    dS = linalg.matmul(dT, linalg.transpose(V)) + dz
+    if spec.causal:
+        dS = attention._causal_zero(dS)
+    kern = spec.kernel_fn
+    dQ = linalg.matmul(dS, kern.apply(K)) * kern.derivative(Q)
+    dK = linalg.matmul(linalg.transpose(dS), kern.apply(Q)) * kern.derivative(K)
     report = GradReport(mechanism=spec.mechanism, theoretical_bound=bound,
                         c1=c1, c2=c2, c3=c3, max_abs_dL_ds=float(np.max(np.abs(dS))))
     if with_fd:
@@ -229,18 +217,17 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
         dphi(Q) = dT~ M~^T    dM~ = phi(Q)^T dT~
         dV~ = phi(K) dM~      dphi(K) = V~ dM~^T
 
-    T~ is recomputed here, not taken from a forward call; causal runs the
-    same over the chunk stack of attention._causal_chunks.
+    phi(Q), phi(K), M~ and T~ come from attention._kernel_state; causal runs
+    the same over the chunk stack of attention._causal_chunks.
     """
-    attention._check_shapes(Q, K, V)
+    attention._check_shapes(Q, K, V, dO)
     Vt = attention._value_columns(V, spec)
     kern = spec.kernel_fn
     if spec.causal:
         dFQ, dFK, dVt = _causal_state_backward(Q, K, Vt, dO, spec)
     else:
-        FQ, FK = kern.apply(Q), kern.apply(K)
-        M = linalg.matmul(linalg.transpose(FK), Vt)
-        dTt = _state_step_backward(linalg.matmul(FQ, M), dO, spec)
+        FQ, FK, M, Tt = attention._kernel_state(Q, K, Vt, kern)
+        dTt = _state_step_backward(Tt, dO, spec)
         dM = linalg.matmul(linalg.transpose(FQ), dTt)
         dFQ = linalg.matmul(dTt, linalg.transpose(M))
         dFK = linalg.matmul(Vt, linalg.transpose(dM))

@@ -167,6 +167,11 @@ def uniform(rows: int, cols: int, seed: int, low: float = -1.0, high: float = 1.
     return (low + u * (high - low)).reshape(rows, cols)
 
 
+def _seeded_qkv(seed: int, n: int, d: int, lo: float = -1.0, hi: float = 1.0):
+    """[Q, K, V], each n x d uniform in [lo, hi) on streams 1, 2, 3 of seed."""
+    return [uniform(n, d, split_seed(seed, s), lo, hi) for s in (1, 2, 3)]
+
+
 def normal(rows: int, cols: int, seed: int, std: float = 1.0) -> Matrix:
     """Seeded Gaussian matrix via Box-Muller on the SplitMix64 stream."""
     count = rows * cols

@@ -178,20 +178,26 @@ def _attention_sublayer(a: Matrix, params: LayerParams, spec: AttentionSpec,
     return linalg.matmul(concat, params.W_O), Ps, (Q, K, V, concat)
 
 
-def layer_forward(x: Matrix, params: LayerParams, layer_index: int,
-                  config: ModelConfig, collect_P: bool = False):
-    """Pre-norm residual block: attention sublayer then gated feed-forward."""
+def _layer_body(x: Matrix, params: LayerParams, layer_index: int,
+                config: ModelConfig, collect_P: bool = False):
+    """The layer up to its feed-forward: (spec, a1, head maps, attention
+    cache, h, a2), where a1 = rmsnorm(x), h = x + attention(a1) and
+    a2 = rmsnorm(h).  layer_forward and layer_backward both run it."""
     if x.shape[1] != config.d_model:
         raise ValueError(f"expected {config.d_model} columns, got {x.shape[1]}")
     spec = config.attention_spec(layer_index)
     a1 = linalg.row_rmsnorm(x, config.epsilon)
-    attn, Ps, _ = _attention_sublayer(a1, params, spec, config, collect_P)
+    attn, Ps, cache = _attention_sublayer(a1, params, spec, config, collect_P)
     h = x + attn
-    a2 = linalg.row_rmsnorm(h, config.epsilon)
+    return spec, a1, Ps, cache, h, linalg.row_rmsnorm(h, config.epsilon)
+
+
+def layer_forward(x: Matrix, params: LayerParams, layer_index: int,
+                  config: ModelConfig, collect_P: bool = False):
+    """Pre-norm residual block: attention sublayer then gated feed-forward."""
+    _, _, Ps, _, h, a2 = _layer_body(x, params, layer_index, config, collect_P)
     out = h + glu_ffn(a2, params)
-    if collect_P:
-        return out, Ps
-    return out
+    return (out, Ps) if collect_P else out
 
 
 def model_forward(x: Matrix, config: ModelConfig,
@@ -243,11 +249,7 @@ def _attention_sublayer_backward(a: Matrix, params: LayerParams,
 def layer_backward(x: Matrix, params: LayerParams, layer_index: int,
                    config: ModelConfig, d_out: Matrix):
     """Gradient of <G, layer_forward(x)> w.r.t. x and all layer weights."""
-    spec = config.attention_spec(layer_index)
-    a1 = linalg.row_rmsnorm(x, config.epsilon)
-    attn, _, cache = _attention_sublayer(a1, params, spec, config)
-    h = x + attn
-    a2 = linalg.row_rmsnorm(h, config.epsilon)
+    spec, a1, _, cache, h, a2 = _layer_body(x, params, layer_index, config)
 
     d_h = d_out.copy()
     d_a2, ffn_grads = glu_ffn_backward(a2, params, d_out)

@@ -179,6 +179,15 @@ class TestDilutionCommand:
         assert code == 2
         assert err == f"error: {src}: input is empty\n"
 
+    def test_empty_input_with_config_is_the_same_error(self, capsys, tmp_path):
+        src, cfg_path = tmp_path / "input.txt", tmp_path / "c.json"
+        src.write_text("")
+        cfg_path.write_text(json.dumps({"n_layers": 1, "n_early": 1}))
+        code = main(["dilution", "--config", str(cfg_path), "--input", str(src),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {src}: input is empty\n"
+
     @pytest.mark.parametrize("argv", [
         ["--config", "c.json", "--input", "empty.txt"], ["--n", "0"]], ids=" ".join)
     def test_usage_error_leaves_no_out_directory(self, capsys, tmp_path, argv):
@@ -507,6 +516,73 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+PAD_CONFIG = {"n_layers": 1, "n_early": 1, "d_model": 8, "n_heads": 2, "block_size": 4}
+ROW_8 = "0.5 0.25 -0.5 1 2 -1 0 0.125\n"
+
+
+def _table_case(name, argv, files=None, env=None):
+    return pytest.param(argv, files or {}, env or {}, id=name)
+
+
+# Every usage error that README's "Command line" section lists.  In argv,
+# {f} stands for the file tmp_path/f, whose text `files` gives (no entry: the
+# file does not exist).
+README_USAGE_ERRORS = [
+    _table_case("unreadable --input", ["dilution", "--input", "{missing.txt}"]),
+    _table_case("unreadable --config", ["dilution", "--config", "{missing.json}"]),
+    _table_case("config that is not JSON", ["dilution", "--config", "{c.json}"],
+                {"c.json": "{n_layers: 1"}),
+    _table_case("unknown config key", ["dilution", "--config", "{c.json}"],
+                {"c.json": json.dumps({"bogus": 1})}),
+    _table_case("config value of the wrong JSON type",
+                ["pad-forward", "--config", "{c.json}", "--input", "{x.txt}",
+                 "--out", "{y.txt}"], {"c.json": json.dumps({"n_heads": "2"}),
+                                       "x.txt": ROW_8 * 8}),
+    _table_case("config flag that --config replaces",
+                ["dilution", "--config", "{c.json}", "--causal"],
+                {"c.json": json.dumps({"n_layers": 1, "n_early": 1})}),
+    _table_case("--epsilon 0", ["stability", "--epsilon", "0", "--steps", "1"]),
+    _table_case("--block-size 0", ["dilution", "--block-size", "0"]),
+    _table_case("--d 0", ["dilution", "--d", "0"]),
+    _table_case("--lengths 0", ["bench", "--lengths", "0"]),
+    _table_case("--lr nan", ["stability", "--lr", "nan", "--steps", "1"]),
+    _table_case("empty --input", ["dilution", "--input", "{x.txt}"], {"x.txt": ""}),
+    _table_case("empty --input with --config",
+                ["dilution", "--config", "{c.json}", "--input", "{x.txt}"],
+                {"c.json": json.dumps({"n_layers": 1, "n_early": 1}), "x.txt": ""}),
+    _table_case("non-finite --input", ["dilution", "--input", "{x.txt}"],
+                {"x.txt": "1 2\nnan 4\n"}),
+    _table_case("pad-forward without --out",
+                ["pad-forward", "--config", "{c.json}", "--input", "{x.txt}"],
+                {"c.json": json.dumps(PAD_CONFIG), "x.txt": ROW_8 * 8}),
+    _table_case("pad-forward with the wrong column count",
+                ["pad-forward", "--config", "{c.json}", "--input", "{x.txt}",
+                 "--out", "{y.txt}"], {"c.json": json.dumps(PAD_CONFIG), "x.txt": "1 2 3\n"}),
+    _table_case("non-causal pad-forward that would pad",
+                ["pad-forward", "--config", "{c.json}", "--input", "{x.txt}",
+                 "--out", "{y.txt}"], {"c.json": json.dumps(PAD_CONFIG),
+                                       "x.txt": ROW_8 * 6}),
+    _table_case("non-integer ATTNLAB_SEED", ["adversarial"], env={"ATTNLAB_SEED": "7.5"}),
+]
+
+
+@pytest.mark.parametrize("argv,files,env", README_USAGE_ERRORS)
+def test_readme_usage_error_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch,
+                                                       argv, files, env):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.chdir(tmp_path)  # a run that wrongly succeeds writes here
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "y.txt").exists()
 
 
 class TestReadme:

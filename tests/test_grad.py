@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,47 @@ def _min_abs_block_score(Q, K, V, w):
                            linalg.transpose(K[start:start + w])) / math.sqrt(d)
         worst = min(worst, float(np.min(np.abs(Sb))))
     return worst
+
+
+class TestUpstreamShape:
+    """A mis-shaped dO is refused up front, naming both shapes: it is never
+    broadcast into (n, d) gradients, nor left to fail inside matmul."""
+
+    @pytest.mark.parametrize("mechanism", attention.MECHANISMS)
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("shape", ["1,d", "n,1", "n,d+1"])
+    def test_mis_shaped_dO_raises(self, mechanism, causal, shape):
+        n, d = 8, 4
+        Q, K, V = seeded_qkv(95, n, d)
+        dO = np.ones({"1,d": (1, d), "n,1": (n, 1), "n,d+1": (n, d + 1)}[shape])
+        # one diag block of all n rows: a (1, d) dO would pad to its shape
+        spec = AttentionSpec(mechanism, block_size=n, causal=causal)
+        backwards = [grad.backward]
+        if mechanism in ("linear", "norm"):
+            backwards.append({"linear": grad.linear_scaled_backward,
+                              "norm": grad.norm_backward}[mechanism])
+        for fn in backwards:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"dO has shape {dO.shape}, expected V's shape {V.shape}")):
+                fn(Q, K, V, dO, spec)
+
+
+class TestMapConsistency:
+    """The softmax-family backward differentiates the map the forward builds:
+    dV = P^T dO with P from the reference forward, bit for bit, also at
+    widths whose sqrt(d) is not a power of two."""
+
+    @pytest.mark.parametrize("mechanism", ["vanilla", "diag"])
+    @pytest.mark.parametrize("d", [6, 8])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_dV_is_forward_map_transposed_times_dO(self, mechanism, d, causal):
+        n = 32
+        Q, K, V = seeded_qkv(97 + d, n, d)
+        dO = linalg.uniform(n, d, seed=98 + d)
+        spec = AttentionSpec(mechanism, block_size=8, causal=causal)
+        P = forward(Q, K, V, spec, reference=True).P
+        dV = grad.backward(Q, K, V, dO, spec)[2]
+        assert np.array_equal(dV, linalg.matmul(linalg.transpose(P), dO))
 
 
 class TestFiniteDiffCheck:

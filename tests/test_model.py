@@ -214,6 +214,13 @@ class TestLayerBackward:
                              linalg.uniform(8, 8, seed=62))
         assert calls == [cfg.layer_mechanism(0)] * cfg.n_heads
 
+    def test_wrong_width_raises_layer_forwards_error(self):
+        cfg = ModelConfig(n_layers=1, n_early=1, d_model=8, n_heads=2,
+                          block_size=4, glu_dim=12, seed=14)
+        with pytest.raises(ValueError, match="^expected 8 columns, got 5$"):
+            model.layer_backward(linalg.uniform(8, 5, seed=63), model.init_layer(cfg, 0), 0,
+                                 cfg, linalg.uniform(8, 8, seed=64))
+
 
 @pytest.mark.slow
 class TestComplexityScaling:
