@@ -2,12 +2,13 @@
 
 Each linear-complexity mechanism comes in two algebraically equivalent forms:
 the efficient form never materializes the n x n score matrix, the reference
-form does (and reports it).  Causal variants of the linear mechanisms run in
-CAUSAL_CHUNK-row chunks: a masked score tile inside each chunk, a d x d
-prefix state across chunks.  Block attention applies full attention
-independently inside non-overlapping diagonal blocks.  Blocks and chunks are
-stacked on a leading batch axis (_as_tiles), and every tile step reads the
-last two axes, so no loop walks them.
+form does (and reports it).  The efficient form of the linear mechanisms runs
+in CAUSAL_CHUNK-row chunks (_chunk_state): each chunk's d x d state, summed
+over all chunks, or over the chunks before it when causal, where a masked
+score tile inside each chunk adds the rest.  Block attention applies full
+attention independently inside non-overlapping diagonal blocks.  Blocks and
+chunks are stacked on a leading batch axis (_as_tiles), and every tile step
+reads the last two axes, so no loop walks them.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ MIN_DENOMINATOR = 1e-300
 # Guard added to block row sums in ReLU score normalization.
 RELA_EPS = 1e-6
 
-# Rows per chunk of the causal linear forms.  The chunk grid starts at row 0,
-# so rows appended after row i never change row i's arithmetic.
+# Rows per chunk of the efficient linear forms.  The chunk grid starts at row
+# 0, so rows appended after row i never change causal row i's arithmetic.
 CAUSAL_CHUNK = 64
 
 
@@ -126,16 +127,11 @@ def _tile_scores(Q: Matrix, K: Matrix, spec: AttentionSpec,
     return S, linalg.row_softmax(S) if score_fn == "softmax" else rela_scores(S)
 
 
-def _feature_scores(Q: Matrix, K: Matrix, kernel: KernelFn,
-                    causal: bool) -> tuple[Matrix, Matrix, Matrix]:
-    """(phi(Q), phi(K), S = phi(Q) phi(K)^T), S zeroed above the diagonal
-    when causal: the score step of the kernel family."""
-    FQ = kernel.apply(Q)
-    FK = kernel.apply(K)
+def _feature_scores(FQ: Matrix, FK: Matrix, causal: bool) -> Matrix:
+    """S = phi(Q) phi(K)^T from the features, zeroed above the diagonal when
+    causal: the score step of the kernel family."""
     S = linalg.matmul(FQ, linalg.transpose(FK))
-    if causal:
-        S = _causal_zero(S)
-    return FQ, FK, S
+    return _causal_zero(S) if causal else S
 
 
 def vanilla_forward(Q: Matrix, K: Matrix, V: Matrix, spec: Optional[AttentionSpec] = None,
@@ -154,29 +150,18 @@ def _kernel_attention(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     z, the row score sums, only for linear; S, the n x n score matrix, built
     only in the reference form.
 
-    The efficient form gets T and z in one product through the d x d state
-    phi(K)^T _value_columns(V), i.e. phi(K)^T [V | 1] for linear; causal
-    runs it over _causal_chunks.  No n x n array is formed.
+    The efficient form gets T and z in one product through _chunk_state's
+    d x d states phi(K)^T _value_columns(V), i.e. phi(K)^T [V | 1] for
+    linear, causal or not.  No n x n array is formed.
     """
     _check_shapes(Q, K, V)
-    linear = spec.mechanism == "linear"
+    linear, kern = spec.mechanism == "linear", spec.kernel_fn
     if reference:
-        _, _, S = _feature_scores(Q, K, spec.kernel_fn, spec.causal)
+        S = _feature_scores(kern.apply(Q), kern.apply(K), spec.causal)
         return linalg.matmul(S, V), linalg.row_sums(S) if linear else None, S
-    Vt = _value_columns(V, spec)
-    if spec.causal:
-        Tz = _linear_causal(Q, K, Vt, spec.kernel_fn)
-    else:
-        Tz = _kernel_state(Q, K, Vt, spec.kernel_fn)[-1]
+    FQ, FK, Vt = kern.apply(Q), kern.apply(K), _value_columns(V, spec)
+    Tz = _linear_causal(FQ, FK, Vt) if spec.causal else _chunk_state(FQ, FK, Vt, False)[-1]
     return (Tz[:, :-1], Tz[:, -1], None) if linear else (Tz, None, None)
-
-
-def _kernel_state(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn):
-    """(phi(Q), phi(K), M, T) of the non-causal efficient form: the d x d
-    state M = phi(K)^T Vt and T = phi(Q) M."""
-    FQ, FK = kernel.apply(Q), kernel.apply(K)
-    M = linalg.matmul(linalg.transpose(FK), Vt)
-    return FQ, FK, M, linalg.matmul(FQ, M)
 
 
 def _value_columns(V: Matrix, spec: AttentionSpec) -> Matrix:
@@ -184,7 +169,7 @@ def _value_columns(V: Matrix, spec: AttentionSpec) -> Matrix:
     last column is the row score sum z; V itself for norm, which reads no z."""
     if spec.mechanism != "linear":
         return V
-    return np.hstack([V, np.ones((V.shape[0], 1))])
+    return np.concatenate([V, np.ones((len(V), 1))], axis=1)
 
 
 def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
@@ -210,24 +195,50 @@ def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon), P=S)
 
 
-def _linear_causal(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn) -> Matrix:
-    """Chunkwise causal phi(Q) phi(K)^T Vt: row i sees rows j <= i only."""
-    return _from_tiles(_causal_chunks(Q, K, Vt, kernel)[-1], Q.shape[0])
+def _linear_causal(FQ: Matrix, FK: Matrix, Vt: Matrix) -> Matrix:
+    """Chunkwise causal phi(Q) phi(K)^T Vt: row i sees rows j <= i only.
+    Its own name so that perfbench's tracer can time the causal step."""
+    return _chunk_state(FQ, FK, Vt, causal=True)[-1]
 
 
-def _causal_chunks(Q: Matrix, K: Matrix, Vt: Matrix, kernel: KernelFn):
-    """(phi(Q), phi(K), Vt, S, M, T) as stacks of CAUSAL_CHUNK-row chunks
-    (n rows when n is shorter).  S: the masked score tiles.  M: chunk c's
-    prefix state, phi(K)^T Vt summed over the chunks before c in order (a
-    matmul never yields -0.0, so this equals M = M + state from zeros).
-    T = phi(Q) M + S Vt: the chunks' rows of the causal phi(Q) phi(K)^T Vt.
+def _chunks(X: Matrix) -> np.ndarray:
+    """X's rows as a stack of CAUSAL_CHUNK-row chunks, one chunk of all n
+    rows when n is shorter."""
+    return _as_tiles(X, min(len(X), CAUSAL_CHUNK) or 1)
+
+
+def _chunk_state(FQ: Matrix, FK: Matrix, Vt: Matrix, causal: bool):
+    """(S, M, T) of T = phi(Q) phi(K)^T Vt from the features FQ = phi(Q) and
+    FK = phi(K), through the _chunks of its rows.
+
+    M sums the chunk states phi(K_c)^T Vt_c (_state_sum).  Not causal: M is
+    their d x d total, T = phi(Q) M and S is None.  Causal: M stacks each
+    chunk's exclusive prefix state, S the chunks' masked score tiles, and
+    chunk c's rows of T are phi(Q_c) M_c + S_c Vt_c.
     """
-    rows = max(1, min(Q.shape[0], CAUSAL_CHUNK))
-    FQ, FK, S = _feature_scores(_as_tiles(Q, rows), _as_tiles(K, rows), kernel, causal=True)
-    Vt = _as_tiles(Vt, rows)
-    M = np.zeros((len(S), Q.shape[1], Vt.shape[2]))
-    np.add.accumulate(linalg.matmul(linalg.transpose(FK[:-1]), Vt[:-1]), axis=0, out=M[1:])
-    return FQ, FK, Vt, S, M, linalg.matmul(FQ, M) + linalg.matmul(S, Vt)
+    FK_c, Vt_c = _chunks(FK), _chunks(Vt)
+    if not causal:
+        M = _state_sum(FK_c, Vt_c, False, 1)
+        return None, M, linalg.matmul(FQ, M)
+    FQ_c = _chunks(FQ)
+    S = _feature_scores(FQ_c, FK_c, causal=True)  # the peak: form it before M exists
+    M = _state_sum(FK_c, Vt_c, True, 1)
+    return S, M, _from_tiles(linalg.matmul(FQ_c, M) + linalg.matmul(S, Vt_c), len(FQ))
+
+
+def _state_sum(A: np.ndarray, B: np.ndarray, causal: bool, step: int) -> np.ndarray:
+    """The chunk states A_c^T B_c of two chunk stacks, from one batched
+    product whose inner dimension is the chunk length, summed over the chunks
+    in order: their total, or causal a stack of each chunk's exclusive prefix
+    (step 1) or suffix (step -1) sum.  The one state that no sum reads is not
+    formed; a matmul never yields -0.0, so the sums equal those from zeros."""
+    if not causal:
+        return np.add.reduce(linalg.matmul(linalg.transpose(A), B), axis=0)
+    read, write = (slice(None, -1), slice(1, None))[::step]
+    out = np.zeros((len(A), A.shape[2], B.shape[2]))
+    np.add.accumulate(linalg.matmul(linalg.transpose(A[read]), B[read])[::step], axis=0,
+                      out=out[write][::step])
+    return out
 
 
 def rela_scores(S_block: Matrix) -> Matrix:
@@ -303,6 +314,6 @@ def _diag_tiles(spec: AttentionSpec, *Xs: Matrix) -> list[np.ndarray]:
 def _check_denominator(z: np.ndarray) -> None:
     """Raise ZeroDenominatorError at the first vanishing score sum."""
     bad = np.abs(z) < MIN_DENOMINATOR
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise ZeroDenominatorError(f"row {i}: score sum {float(z[i])!r} vanishes")

@@ -1,12 +1,8 @@
-"""Locally accumulated attention score and the expanding-window curve.
+"""The expanding-window curve: how local is the attention mass?
 
-Two views of the same question "how local is the attention mass?":
-
-* :func:`local_score` sums a row over a centered window covering a given
-  fraction of the sequence (score as a function of window ratio).
-* :func:`dilution_curve` grows a window outward from the diagonal and records
-  the window length at which each of 100 evenly spaced score thresholds is
-  first reached (ratio as a function of score), averaged over rows.
+:func:`dilution_curve` grows a window outward from the diagonal and records
+the window length at which each of 100 evenly spaced score thresholds is
+first reached (ratio as a function of score), averaged over rows.
 
 Row i's window takes its columns in one expansion order: the center, then the
 left and right neighbours in turn, left first, a side clipped at the row end
@@ -58,27 +54,6 @@ def scores_to_distribution(S: Matrix) -> Matrix:
     sums = A.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(sums > 0, A / sums, 0.0)
-
-
-def local_score(P: Matrix, i: int, r: float) -> float:
-    """Row mass inside a centered window covering fraction r of the row.
-
-    The window length is round(r * N) (at least 1 when r > 0); at sequence
-    boundaries it shifts inward so its length is preserved.
-    """
-    n, m = P.shape
-    if not (0 <= i < n):
-        raise IndexError(f"row {i} out of range for {n} rows")
-    if not (0.0 <= r <= 1.0):
-        raise ValueError("r must lie in [0, 1]")
-    length = int(round(r * m))
-    if r > 0:
-        length = max(length, 1)
-    if length == 0:
-        return 0.0
-    start = i - (length - 1) // 2
-    start = min(max(start, 0), m - length)
-    return float(np.sum(P[i, start:start + length]))
 
 
 def row_expansion_curve(row: np.ndarray, center: int,

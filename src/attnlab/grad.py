@@ -13,10 +13,11 @@ validated against central finite differences of its forward.
 
 linear and norm have two backwards.  backward(), which the model, the SGD
 experiment and bench call, goes through the d x d state phi(K)^T V in
-O(n d^2) time; causal runs its attention.CAUSAL_CHUNK-row chunks as one tile
-stack, as diag_backward does its blocks.  linear_scaled_backward and
-norm_backward are the quadratic reference: they form the n x n scores, and
-return the GradReport that reads them.
+O(n d^2) time, over the attention.CAUSAL_CHUNK-row chunks of the forward's
+chunk-state body, causal or not, run as one tile stack as diag_backward runs
+its blocks.  linear_scaled_backward and norm_backward are the quadratic
+reference: they form the n x n scores, and return the GradReport that reads
+them.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ def rmsnorm_jacobian(t_row: np.ndarray, eps: float) -> Matrix:
 def rmsnorm_backward(T: Matrix, dO: Matrix, eps: float) -> Matrix:
     """Pull the upstream gradient through the row normalizer."""
     d = T.shape[1]
-    sig2 = np.mean(T * T, axis=1, keepdims=True)
+    sig2 = np.add.reduce(T * T, axis=1, keepdims=True) / d  # as linalg.row_rmsnorm
     r2 = sig2 + eps
     r = np.sqrt(r2)
-    inner = np.sum(dO * T, axis=1, keepdims=True)
+    inner = np.add.reduce(dO * T, axis=1, keepdims=True)
     return (dO - T * (inner / (d * r2))) / r
 
 
@@ -196,7 +197,7 @@ def _last_step_backward(T: Matrix, z: Optional[np.ndarray], dO: Matrix,
         return rmsnorm_backward(T, dO, spec.epsilon), 0.0
     attention._check_denominator(z)
     dT = dO / z[:, None]
-    return dT, -np.sum(dT * T, axis=1, keepdims=True) / z[:, None]
+    return dT, -np.add.reduce(dT * T, axis=1, keepdims=True) / z[:, None]
 
 
 def _state_step_backward(Tt: Matrix, dO: Matrix, spec: AttentionSpec) -> Matrix:
@@ -204,7 +205,7 @@ def _state_step_backward(Tt: Matrix, dO: Matrix, spec: AttentionSpec) -> Matrix:
     dL/dT from T~ = T (norm)."""
     if spec.mechanism != "linear":
         return _last_step_backward(Tt, None, dO, spec)[0]
-    return np.hstack(_last_step_backward(Tt[:, :-1], Tt[:, -1], dO, spec))
+    return np.concatenate(_last_step_backward(Tt[:, :-1], Tt[:, -1], dO, spec), axis=1)
 
 
 def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
@@ -217,42 +218,33 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
         dphi(Q) = dT~ M~^T    dM~ = phi(Q)^T dT~
         dV~ = phi(K) dM~      dphi(K) = V~ dM~^T
 
-    phi(Q), phi(K), M~ and T~ come from attention._kernel_state; causal runs
-    the same over the chunk stack of attention._causal_chunks.
+    S, M~ and T~ come from attention._chunk_state, and dM~ is its state sum
+    taken in reverse: the total, or when causal each chunk's exclusive
+    suffix.  Causal runs all of it per chunk and adds the terms through the
+    masked tiles S.
     """
     attention._check_shapes(Q, K, V, dO)
-    Vt = attention._value_columns(V, spec)
-    kern = spec.kernel_fn
-    if spec.causal:
-        dFQ, dFK, dVt = _causal_state_backward(Q, K, Vt, dO, spec)
-    else:
-        FQ, FK, M, Tt = attention._kernel_state(Q, K, Vt, kern)
-        dTt = _state_step_backward(Tt, dO, spec)
-        dM = linalg.matmul(linalg.transpose(FQ), dTt)
-        dFQ = linalg.matmul(dTt, linalg.transpose(M))
-        dFK = linalg.matmul(Vt, linalg.transpose(dM))
-        dVt = linalg.matmul(FK, dM)
+    kern, causal = spec.kernel_fn, spec.causal
+    FQ, FK, Vt = kern.apply(Q), kern.apply(K), attention._value_columns(V, spec)
+    S, M, Tt = attention._chunk_state(FQ, FK, Vt, causal)
+    dTt = _state_step_backward(Tt, dO, spec)
+    FQ_c, dTt_c = attention._chunks(FQ), attention._chunks(dTt)
+    if causal:  # the tile terms, the largest products, first: no state term is held yet
+        FQ, FK, Vt, dTt = FQ_c, attention._chunks(FK), attention._chunks(Vt), dTt_c
+        dS = attention._causal_zero(linalg.matmul(dTt, linalg.transpose(Vt)))
+        tiles = (linalg.matmul(dS, FK), linalg.matmul(linalg.transpose(dS), FQ),
+                 linalg.matmul(linalg.transpose(S), dTt))
+    dM = attention._state_sum(FQ_c, dTt_c, causal, -1)
+    grads = (linalg.matmul(dTt, linalg.transpose(M)), linalg.matmul(Vt, linalg.transpose(dM)),
+             linalg.matmul(FK, dM))
+    if causal:
+        # summed in place, and the tiles freed before the chain rule below, so
+        # that neither adds to the peak that the tile products set
+        grads = [attention._from_tiles(np.add(G, T, out=G), len(Q)) for G, T in zip(grads, tiles)]
+        del S, dS, tiles
+    dFQ, dFK, dVt = grads
     return (dFQ * kern.derivative(Q), dFK * kern.derivative(K),
             np.ascontiguousarray(dVt[:, :V.shape[1]]))
-
-
-def _causal_state_backward(Q: Matrix, K: Matrix, Vt: Matrix, dO: Matrix, spec: AttentionSpec):
-    """(dphi(Q), dphi(K), dV~) through attention._linear_causal: through the
-    masked tiles S inside a chunk, and through the prefix state M, whose
-    gradient in chunk c sums phi(Q)^T dT~ over the chunks after c."""
-    n = Q.shape[0]
-    FQ, FK, Vt, S, M, Tt = attention._causal_chunks(Q, K, Vt, spec.kernel_fn)
-    dTt = attention._as_tiles(_state_step_backward(attention._from_tiles(Tt, n), dO, spec),
-                              Tt.shape[1])
-    dS = attention._causal_zero(linalg.matmul(dTt, linalg.transpose(Vt)))
-    # suffix sums, the last chunk first; no M reads the first chunk's term
-    dM = np.zeros_like(M)
-    dM[:-1] = np.add.accumulate(
-        linalg.matmul(linalg.transpose(FQ[1:]), dTt[1:])[::-1], axis=0)[::-1]
-    dFQ = linalg.matmul(dTt, linalg.transpose(M)) + linalg.matmul(dS, FK)
-    dFK = linalg.matmul(linalg.transpose(dS), FQ) + linalg.matmul(Vt, linalg.transpose(dM))
-    dVt = linalg.matmul(linalg.transpose(S), dTt) + linalg.matmul(FK, dM)
-    return tuple(attention._from_tiles(G, n) for G in (dFQ, dFK, dVt))
 
 
 def diag_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
@@ -348,7 +340,7 @@ def build_adversarial(n: int, d: int, x0_norm_sq: float,
 
 def adversarial_observed(inst: AdversarialInstance, kernel: KernelFn) -> float:
     """Largest diagonal |d p_ij / d s_ik| the instance actually achieves."""
-    _, _, S = attention._feature_scores(inst.Q, inst.K, kernel, causal=False)
+    S = attention._feature_scores(kernel.apply(inst.Q), kernel.apply(inst.K), causal=False)
     z = linalg.row_sums(S)
     P = S / z[:, None]
     J = unified_dp_ds(P, S, get_kernel("identity"))

@@ -94,7 +94,8 @@ def row_rmsnorm(m: Matrix, eps: float) -> Matrix:
     """Rows scaled by 1/sqrt(mean(row**2) + eps); eps > 0 guards zero rows."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    ms = np.mean(m * m, axis=1, keepdims=True)
+    # np.mean's own sum-then-divide, without its per-call overhead
+    ms = np.add.reduce(m * m, axis=1, keepdims=True) / m.shape[1]
     return m / np.sqrt(ms + eps)
 
 

@@ -247,15 +247,16 @@ class TestOracleEquivalence:
 
 
 class TestCausalChunks:
-    """The causal linear forms run in CAUSAL_CHUNK-row chunks; 65, 130 and
-    200 rows cross one, two and three chunk boundaries."""
+    """The efficient linear forms run in CAUSAL_CHUNK-row chunks, causal or
+    not; 65, 130 and 200 rows cross one, two and three chunk boundaries."""
 
     @pytest.mark.parametrize("mech,kernel", [
         ("linear", "1+elu"), ("linear", "exp"), ("norm", "1+elu"), ("norm", "elu")])
     @pytest.mark.parametrize("n,d", [(65, 4), (130, 8), (200, 8)])
-    def test_efficient_matches_reference(self, mech, kernel, n, d):
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_efficient_matches_reference(self, mech, kernel, n, d, causal):
         Q, K, V = seeded_qkv(n * 10 + d, n, d)
-        spec = AttentionSpec(mech, kernel=kernel, causal=True)
+        spec = AttentionSpec(mech, kernel=kernel, causal=causal)
         eff = forward(Q, K, V, spec).O
         ref = forward(Q, K, V, spec, reference=True).O
         assert np.max(np.abs(eff - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from attnlab import dilution, linalg
 from attnlab.attention import AttentionSpec, diag_forward, forward, linear_scaled_forward
 from attnlab.dilution import (CROSSING_SLACK, DilutionCurve, compare_curves,
-                              dilution_curve, local_score, row_expansion_curve)
+                              dilution_curve, row_expansion_curve)
 
 
 def walk_row_expansion_curve(row, center, thresholds):
@@ -100,43 +100,6 @@ def banded_matrix(m=8):
                 P[i, j] = val
         P[i] /= P[i].sum()
     return P
-
-
-class TestLocalScore:
-    def test_uniform_mass_interior(self):
-        n = 20
-        P = np.full((n, n), 1.0 / n)
-        got = local_score(P, 10, 0.4)
-        assert got == pytest.approx(round(0.4 * n) / n, abs=1e-12)
-
-    def test_identity_concentrates_fully(self):
-        P = np.eye(9)
-        for r in (0.05, 0.3, 1.0):
-            assert local_score(P, 4, r) == 1.0
-
-    def test_documented_reading_forty_percent_sixty(self):
-        # a row engineered so that the 40% neighbourhood holds 0.6 of the mass
-        m = 10
-        row = np.full(m, 0.4 / (m - 4))
-        window = slice(4, 8)  # round(0.4 * 10) = 4 slots, start = 5 - (4-1)//2
-        row[window] = 0.15
-        P = np.tile(row, (m, 1))
-        assert local_score(P, 5, 0.4) == pytest.approx(0.6)
-
-    def test_boundary_window_shifts_inward(self):
-        P = np.eye(6)
-        # window of length 3 at the first row covers [0, 2]
-        assert local_score(P, 0, 0.5) == 1.0
-        assert local_score(np.roll(np.eye(6), 2, axis=1), 0, 0.5) == 1.0
-
-    def test_zero_ratio_means_empty_window(self):
-        assert local_score(np.eye(4), 1, 0.0) == 0.0
-
-    def test_errors(self):
-        with pytest.raises(IndexError):
-            local_score(np.eye(3), 5, 0.5)
-        with pytest.raises(ValueError):
-            local_score(np.eye(3), 1, 1.5)
 
 
 class TestDilutionCurve:
@@ -264,11 +227,12 @@ class TestClosedFormMatchesWalk:
             dilution_curve(P)
 
 
-class TestConsistencyWithLocalScore:
+class TestConsistencyWithCenteredWindow:
     def test_recorded_length_reaches_threshold_for_symmetric_rows(self):
         # rows of the banded matrix are symmetric about their center away from
         # the boundary, so the alternating expansion's recorded span, replayed
-        # as a centered window, must collect at least the threshold mass
+        # as a window centered on the row's diagonal, must collect at least
+        # the threshold mass
         P = banded_matrix(8)
         thresholds = np.linspace(0.0, 1.0, 100)
         for i in (2, 3, 4, 5):
@@ -276,7 +240,9 @@ class TestConsistencyWithLocalScore:
             for j in range(1, 100):
                 if cnt[j] >= 8:
                     continue
-                score = local_score(P, i, cnt[j] / 8)
+                length = int(cnt[j])
+                start = min(max(i - (length - 1) // 2, 0), 8 - length)
+                score = float(np.sum(P[i, start:start + length]))
                 assert score >= thresholds[j] - 1e-9, (i, j)
 
 

@@ -317,6 +317,7 @@ class TestStateBackward:
     @pytest.mark.parametrize("mechanism", ["linear", "norm"])
     @pytest.mark.parametrize("causal", [False, True])
     def test_no_product_is_n_by_n(self, monkeypatch, mechanism, causal):
+        # nor sums over n rows: every inner dimension stays within a chunk
         n, d = 256, 8
         shapes = []
         inner = linalg.matmul
@@ -332,6 +333,7 @@ class TestStateBackward:
         grad.backward(Q, K, V, dO, AttentionSpec(mechanism, causal=causal))
         assert shapes
         assert not [s for s in shapes if min(s) >= n]
+        assert max(a[-1] for a in shapes[::3]) <= attention.CAUSAL_CHUNK
 
     @pytest.mark.parametrize("first_bad", [1, 100])
     def test_zero_denominator_raises_at_the_first_row(self, first_bad):
