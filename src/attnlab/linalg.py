@@ -4,7 +4,7 @@ Everything downstream (attention forwards, backwards, benchmarks) routes its
 matrix products through :func:`matmul`, which accumulates the inner dimension
 left to right.  The result is bitwise identical to the classic triple loop and
 bit-reproducible across runs on one machine; no BLAS call is made anywhere in
-this module.
+this module.  :func:`matmul` sums a slab of inner indices per numpy call.
 """
 
 from __future__ import annotations
@@ -20,24 +20,24 @@ _SM_MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
 
 
-# Accumulator slabs are kept around this size so they stay cache-resident.
-_MATMUL_BLOCK_BYTES = 4 << 20
+_SLAB_ENTRIES = 8192  # 64 KiB slabs stay in cache and keep lab-sized peaks
+_MATMUL_BLOCK_BYTES = 4 << 20  # row blocks of one-step updates
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Product with left-to-right accumulation over the inner dimension.
 
-    Bitwise equal to ``out[i,j] = sum_k a[i,k]*b[k,j]`` evaluated k=0,1,...
-    with one rounding per multiply and per add (no FMA, no reassociation);
+    Bitwise equal, but for a NaN's sign, to ``out[i,j] = sum_k a[i,k]*b[k,j]``
+    evaluated k=0,1,... with one rounding per multiply and add (no FMA, no reassociation);
     3-D operands (batch, rows, inner) x (batch, inner, cols) do so per entry.
-    Output rows (3-D: entries) are processed in cache-sized blocks; that
-    reorders only which entries are updated when, never any entry's sequence.
+    Per slab of k, products land behind the running sum and one np.add.reduce
+    adds them in index order; one-entry blocks, which reduce sums pairwise, go k by k.
     """
-    # column k of a and row k of b, as views that broadcast to out's shape
+    # k-major views: A[k] is column k of a, B[k] row k of b (3-D: per entry)
     if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0]:
-        a_k, b_k = a.T[:, :, None], b[:, None, :]
+        A, B, spec = a.T, b, "ki,kj->kij"
     elif a.ndim == b.ndim == 3 and len(a) == len(b) and a.shape[2] == b.shape[1]:
-        a_k, b_k = a.transpose(2, 0, 1)[..., None], b.transpose(1, 0, 2)[:, :, None]
+        A, B, spec = a.transpose(2, 0, 1), b.transpose(1, 0, 2), "kbi,kbj->kbij"
     else:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}; matmul takes "
                          "(n, k) x (k, p) or (batch, n, k) x (batch, k, p)")
@@ -48,26 +48,41 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     # long inner dimensions would walk a's columns with a large stride; one
     # contiguous transpose up front is cheaper than n*inner strided reads
     if inner >= 256 and a.shape[-2] >= 256:
-        a_k = np.ascontiguousarray(a_k)
-    lead = len(out)
-    per_block = _MATMUL_BLOCK_BYTES * lead // (8 * out.size)
-    if per_block >= lead:
-        _accumulate(out, a_k, b_k, np.empty(out.shape))
-        return out
-    per_block = max(1, per_block)
-    tmp = np.empty((per_block,) + out.shape[1:])
-    for r0 in range(0, lead, per_block):
-        ob = out[r0:r0 + per_block]
-        _accumulate(ob, a_k[:, r0:r0 + per_block],
-                    b_k if a.ndim == 2 else b_k[:, r0:r0 + per_block], tmp[:len(ob)])
+        A = np.ascontiguousarray(A)
+    # slab plan: row blocks of min(inner, 16) products per entry, split evenly,
+    # then as many k as a slab holds.  It needs blocks of 2+ entries (numpy sums
+    # one pairwise) and at most half the one-step update's numpy calls (2 per k)
+    lead, per = len(out), out.size // len(out)
+    blocks = -(-lead // max(1, _SLAB_ENTRIES // ((min(inner, 16) + 1) * per)))
+    step = max(1, min(inner, _SLAB_ENTRIES // (-(-lead // blocks) * per) - 1))
+    one_blocks = -(-lead // max(1, _MATMUL_BLOCK_BYTES // (8 * per)))
+    slab_calls = blocks * (2 * -(-inner // step) + 1)
+    if lead // blocks * per < 2 or step < min(inner, 8) or slab_calls > inner * one_blocks:
+        blocks, step = one_blocks, 1
+    acc = np.empty((step + (step > 1), -(-lead // blocks)) + out.shape[1:])
+    einsum = acc[-1].size * step >= 4096  # faster from here: fills no broadcast buffers
+    if einsum:
+        product = lambda x, y, o: np.einsum(spec, x, y, out=o)
+    else:  # operands that broadcast to the products' shape
+        A, B, product = A[..., None], B[..., None, :], np.multiply
+    for i in range(blocks):
+        r0, r1 = lead * i // blocks, lead * (i + 1) // blocks
+        ob, acc_r = out[r0:r1], acc[:, :r1 - r0]
+        a_r, b_r = A[:, r0:r1], (B if a.ndim == 2 else B[:, r0:r1])
+        if step > 1:
+            acc_r[0] = 0.0
+            for k0 in range(0, inner, step):
+                k1 = min(k0 + step, inner)
+                product(a_r[k0:k1], b_r[k0:k1], acc_r[1:k1 - k0 + 1])
+                np.add.reduce(acc_r[:k1 - k0 + 1], 0, None, ob if k1 == inner else acc_r[0])
+            continue
+        for k in range(inner):
+            product(a_r[k:k + 1], b_r[k:k + 1], acc_r)
+            ob += acc_r[0]
+    if einsum and not np.isfinite(out).all():  # einsum never warns: multiply does
+        for k in range(inner):
+            np.multiply(A[k, ..., None], B[k, ..., None, :])
     return out
-
-
-def _accumulate(out: np.ndarray, a_k: np.ndarray, b_k: np.ndarray, tmp: np.ndarray) -> None:
-    """out += a_k[k] * b_k[k] for k = 0, 1, ... in turn; tmp holds each product."""
-    for k in range(len(a_k)):
-        np.multiply(a_k[k], b_k[k], out=tmp)
-        out += tmp
 
 
 def transpose(m: Matrix) -> Matrix:

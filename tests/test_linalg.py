@@ -22,7 +22,114 @@ def matmul_triple_loop(a, b):
     return np.array(out)
 
 
+def matmul_one_step(a, b):
+    """Reference form: out += (column k of a) * (row k of b) for k = 0, 1, ...
+    in turn, one numpy multiply and one add per k (3-D: per entry)."""
+    if a.ndim == 2:
+        a_k, b_k = a.T[:, :, None], b[:, None, :]
+    else:
+        a_k, b_k = a.transpose(2, 0, 1)[..., None], b.transpose(1, 0, 2)[:, :, None]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    for k in range(a.shape[-1]):
+        out += a_k[k] * b_k[k]
+    return out
+
+
+def _operands(a_shape, b_shape, seed, specials=False):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    if specials:  # about one entry in eight of each operand
+        for m in (a, b):
+            hit = rng.random(m.shape) < 0.125
+            m[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(hit.sum()))
+    return a, b
+
+
+def _bits(m):
+    """m's bytes with every NaN made one NaN: numpy's add keeps one operand's
+    NaN in its vector loop and the other's in the scalar tail, so a NaN's sign
+    follows the entry's position in the numpy call, not its sum order."""
+    return np.where(np.isnan(m), np.nan, m).tobytes()
+
+
+def assert_same_bits_as_one_step(a, b):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = linalg.matmul(a, b), matmul_one_step(a, b)
+    assert got.shape == want.shape
+    assert _bits(got) == _bits(want)
+
+
+# (a shape, b shape): every inner length in {1, 7, 8, 9, 33, 300}; one-entry
+# outputs, whose one reduce numpy would sum pairwise; one-row and one-column
+# outputs; slabs and row blocks with a short last one; one-step updates.
+MATMUL_GRID = [((n, k), (k, p)) for k in (1, 7, 8, 9, 33, 300)
+               for n, p in ((1, 1), (1, 5), (6, 1), (8, 8), (32, 32), (61, 61))] + [
+    ((1, k), (k, 1)) for k in (9, 16, 64, 257)] + [
+    ((1, 1, k), (1, k, 1)) for k in (9, 33, 300)] + [
+    ((2, 1, 40), (2, 40, 1)),       # 2 entries: the smallest slab
+    ((1, 1, 300), (1, 300, 7)),     # one row per entry
+    ((5, 9, 33), (5, 33, 1)),       # one column per entry
+    ((32, 300), (300, 32)),         # several row blocks and slabs, both short last
+    ((7, 16, 64), (7, 64, 17)),     # one stack entry per row block
+    ((2, 64, 16), (2, 16, 128)),    # an entry outgrows a slab: one-step updates
+    ((300, 8), (8, 300)),           # one-step updates in the tall 2-D case
+    ((600, 4), (4, 1000)),          # one-step updates in several row blocks
+    ((482, 300), (300, 1)),         # one-column outputs in two row blocks,
+    ((820, 9), (9, 1)),             # whose lead leaves a lone row over
+    ((482, 1, 16), (482, 16, 1)),
+]
+
+
 class TestMatmul:
+    @pytest.mark.parametrize("specials", [False, True])
+    @pytest.mark.parametrize("a_shape,b_shape", MATMUL_GRID)
+    def test_same_bits_as_one_step_form(self, a_shape, b_shape, specials):
+        a, b = _operands(a_shape, b_shape, seed=len(a_shape) * 1000 + a_shape[-1],
+                         specials=specials)
+        assert_same_bits_as_one_step(a, b)
+
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 70), st.integers(1, 12),
+           st.booleans(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_one_step_property(self, batch, n, k, p, stacked, seed, specials):
+        a_shape, b_shape = ((batch, n, k), (batch, k, p)) if stacked else ((n, k), (k, p))
+        assert_same_bits_as_one_step(*_operands(a_shape, b_shape, seed, specials))
+
+    @given(st.integers(1, 3000), st.integers(1, 40), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_one_step_tall_property(self, n, k, p, seed):
+        # tall outputs of one or two columns split into row blocks of any remainder
+        assert_same_bits_as_one_step(*_operands((n, k), (k, p), seed))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((32, 32), (32, 8)),            # slabs of einsum products
+        ((4, 16, 16), (4, 16, 16)),     # the same, stacked
+        ((8, 32), (32, 8)),             # slabs of multiply products
+        ((2, 8, 16), (2, 16, 8)),       # the same, stacked
+        ((64, 8), (8, 128)),            # one-step einsum
+        ((2, 2), (2, 2)),               # one-step multiply
+    ])
+    @pytest.mark.parametrize("fill,err", [((np.inf, 0.0), "invalid"), ((1e200, 1e200), "over")])
+    def test_products_raise_floating_point_errors_as_multiply_does(self, a_shape, b_shape,
+                                                                   fill, err):
+        a, b = np.ones(a_shape), np.ones(b_shape)
+        a[..., 0, 3 % a.shape[-1]], b[..., 3 % a.shape[-1], 0] = fill
+        with np.errstate(**{err: "raise"}), pytest.raises(FloatingPointError, match="multiply"):
+            linalg.matmul(a, b)
+        with pytest.raises(RuntimeWarning, match="multiply"):  # the suite's warning filter
+            linalg.matmul(a, b)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((1, 33), (33, 1)), ((1, 1, 300), (1, 300, 1))])
+    def test_one_entry_case_catches_a_pairwise_reduce(self, a_shape, b_shape):
+        # the grid's one-entry outputs would fail a matmul that reduced them
+        # like any other slab: numpy sums a lone reduced axis pairwise
+        a, b = _operands(a_shape, b_shape, seed=a_shape[-1])
+        want = matmul_one_step(a, b)
+        products = np.concatenate([np.zeros(1), a.reshape(-1) * b.reshape(-1)])
+        naive = np.add.reduce(products.reshape((-1,) + want.shape), axis=0)
+        assert naive.tobytes() != want.tobytes()
+        assert_same_bits_as_one_step(a, b)
+
     def test_identity(self):
         m = linalg.uniform(3, 3, seed=5)
         assert np.array_equal(linalg.matmul(np.eye(3), m), m)

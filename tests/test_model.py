@@ -225,16 +225,20 @@ class TestLayerBackward:
 @pytest.mark.slow
 class TestComplexityScaling:
     def test_linear_stack_scales_linearly_vanilla_quadratically(self):
-        def time_forward(cfg, n):
-            x = linalg.uniform(n, cfg.d_model, seed=71)
+        def doubling_ratio(cfg, n):
+            # n and 2n alternate in one loop, so that a slow stretch of a
+            # shared host falls on both sizes rather than on one of them
+            xs = [linalg.uniform(m, cfg.d_model, seed=71) for m in (n, 2 * n)]
             params = model.init_params(cfg)
-            model.model_forward(x, cfg, params)  # warm
-            times = []
+            times = ([], [])
+            for x in xs:
+                model.model_forward(x, cfg, params)  # warm
             for _ in range(5):
-                t0 = time.perf_counter()
-                model.model_forward(x, cfg, params)
-                times.append(time.perf_counter() - t0)
-            return float(np.median(times))
+                for x, t in zip(xs, times):
+                    t0 = time.perf_counter()
+                    model.model_forward(x, cfg, params)
+                    t.append(time.perf_counter() - t0)
+            return float(np.median(times[1])) / float(np.median(times[0]))
 
         mixed = ModelConfig(n_layers=2, n_early=1, d_model=32, n_heads=2,
                             block_size=64, seed=31)
@@ -245,9 +249,8 @@ class TestComplexityScaling:
         # clean attempt out of three
         history = []
         for attempt in range(3):
-            mixed_ratio = time_forward(mixed, 4096) / time_forward(mixed, 2048)
-            vanilla_ratio = (time_forward(vanilla, 4096)
-                             / time_forward(vanilla, 2048))
+            mixed_ratio = doubling_ratio(mixed, 2048)
+            vanilla_ratio = doubling_ratio(vanilla, 2048)
             history.append((mixed_ratio, vanilla_ratio))
             if mixed_ratio <= 2.6 and vanilla_ratio >= 3.4:
                 return
