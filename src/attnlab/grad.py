@@ -389,7 +389,8 @@ def _stability_task(seed: int, n: int, d: int):
 
     Solving it requires sharp, content-based attention, which drives the
     rescaled mechanism's scores toward zero; a non-realizable residual keeps
-    gradients from flatlining.
+    gradients from flatlining.  Returns X, y and the replica's starting
+    weights [Wq | Wk | Wv] (d x 3d) and fixed readout probe wr.
     """
     if n % 2 != 0 or d % 2 != 0:
         raise ValueError("task needs even n and d")
@@ -408,48 +409,50 @@ def _stability_task(seed: int, n: int, d: int):
     y[0::2, 0] = vals[1::2]
     y[1::2, 0] = vals[0::2]
     y += STAB_RESIDUAL * np.sign(np.sin(np.arange(n)))[:, None]
-    return X, y
-
-
-def _stability_replica(spec: AttentionSpec, seed: int, steps: int, lr: float,
-                       n: int, d: int) -> float:
-    """One SGD run; returns rsd of the gradient-norm stream, inf on divergence."""
-    X, y = _stability_task(seed, n, d)
-    init_std = 1.0 / math.sqrt(d)
-    Wq = linalg.normal(d, d, linalg.split_seed(seed, 23), std=init_std)
-    Wk = linalg.normal(d, d, linalg.split_seed(seed, 29), std=init_std)
-    Wv = linalg.normal(d, d, linalg.split_seed(seed, 31), std=init_std)
+    W = np.concatenate([linalg.normal(d, d, linalg.split_seed(seed, s), std=1.0 / math.sqrt(d))
+                        for s in (23, 29, 31)], axis=1)
     wr = linalg.normal(d, 1, linalg.split_seed(seed, 37))
-    wr /= math.sqrt(float(np.sum(wr * wr)))  # fixed readout probe
+    wr /= math.sqrt(float(np.sum(wr * wr)))
+    return X, y, W, wr
 
+
+def _column_thirds(M: np.ndarray):
+    """M's three equal column blocks, each contiguous (so sums keep their order)."""
+    w = M.shape[1] // 3
+    return [np.ascontiguousarray(M[:, i:i + w]) for i in (0, w, 2 * w)]
+
+
+def _stability_replica(spec: AttentionSpec, X: np.ndarray, y: np.ndarray, W: np.ndarray,
+                       wr: np.ndarray, steps: int, lr: float) -> float:
+    """One SGD run from a copy of W = [Wq | Wk | Wv]; returns rsd of the
+    gradient-norm stream, inf on divergence.
+
+    Q|K|V is one product X W and the weight gradient one product X^T [dQ|dK|dV]:
+    each entry is the same left-to-right sum as in the per-matrix products.
+    """
+    W, Xt = W.copy(), linalg.transpose(X)
     norms = []
     for _ in range(steps):
-        if not (np.all(np.isfinite(Wq)) and np.all(np.isfinite(Wk))
-                and np.all(np.isfinite(Wv))):
+        if not np.all(np.isfinite(W)):
             return math.inf
         with np.errstate(all="ignore"):
-            Q = linalg.matmul(X, Wq)
-            K = linalg.matmul(X, Wk)
-            V = linalg.matmul(X, Wv)
+            Q, K, V = _column_thirds(linalg.matmul(X, W))
             try:
                 out = attention.forward(Q, K, V, spec)
                 yh = linalg.matmul(out.O, wr)
                 resid = yh - y
                 loss = float(np.mean(resid * resid))
                 dO = linalg.matmul(2.0 * resid / resid.size, linalg.transpose(wr))
-                dQ, dK, dV = backward(Q, K, V, dO, spec)
+                dQKV = np.concatenate(backward(Q, K, V, dO, spec), axis=1)
             except ZeroDenominatorError:
                 return math.inf
-            gWq = linalg.matmul(linalg.transpose(X), dQ)
-            gWk = linalg.matmul(linalg.transpose(X), dK)
-            gWv = linalg.matmul(linalg.transpose(X), dV)
+            G = linalg.matmul(Xt, dQKV)
+            gWq, gWk, gWv = _column_thirds(G)
             g2 = float(np.sum(gWq * gWq) + np.sum(gWk * gWk) + np.sum(gWv * gWv))
         if not (math.isfinite(loss) and math.isfinite(g2)):
             return math.inf
         norms.append(math.sqrt(g2))
-        Wq -= lr * gWq
-        Wk -= lr * gWk
-        Wv -= lr * gWv
+        W -= lr * G
     arr = np.array(norms)
     if float(arr.max()) == float(arr.min()):
         return 0.0  # constant stream; don't let mean-subtraction roundoff lie
@@ -475,11 +478,10 @@ def grad_stability_experiment(specs: Sequence[AttentionSpec], steps: int = 500,
         raise ValueError(f"learning_rate must be finite, got {learning_rate}")
     rsd: dict = {}
     detail: dict = {}
+    # every mechanism starts from the same task and weights per replica seed
+    starts = [_stability_task(linalg.split_seed(seed, 1000 + r), n, d) for r in range(replicas)]
     for spec in specs:
-        runs = []
-        for r in range(replicas):
-            rep_seed = linalg.split_seed(seed, 1000 + r)
-            runs.append(_stability_replica(spec, rep_seed, steps, learning_rate, n, d))
+        runs = [_stability_replica(spec, *start, steps, learning_rate) for start in starts]
         detail[spec.mechanism] = runs
         rsd[spec.mechanism] = float(np.median(runs))
     return StabilityReport(rsd=rsd, replicas=detail, steps=steps,

@@ -14,9 +14,9 @@ import numpy as np
 Matrix = np.ndarray  # 2-D float64, C-contiguous
 
 # SplitMix64 constants (Steele, Lea & Flood's mix function).
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_MIX2 = np.uint64(0x94D049BB133111EB)
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_MIX1 = 0xBF58476D1CE4E5B9
+_SM_MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / float(1 << 53)
 
 
@@ -45,40 +45,50 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out = np.zeros(a.shape[:-1] + b.shape[-1:])
     if out.size == 0 or inner == 0:
         return out
-    # long inner dimensions would walk a's columns with a large stride; one
-    # contiguous transpose up front is cheaper than n*inner strided reads
-    if inner >= 256 and a.shape[-2] >= 256:
-        A = np.ascontiguousarray(A)
-    # slab plan: row blocks of min(inner, 16) products per entry, split evenly,
-    # then as many k as a slab holds.  It needs blocks of 2+ entries (numpy sums
-    # one pairwise) and at most half the one-step update's numpy calls (2 per k)
-    lead, per = len(out), out.size // len(out)
-    blocks = -(-lead // max(1, _SLAB_ENTRIES // ((min(inner, 16) + 1) * per)))
-    step = max(1, min(inner, _SLAB_ENTRIES // (-(-lead // blocks) * per) - 1))
-    one_blocks = -(-lead // max(1, _MATMUL_BLOCK_BYTES // (8 * per)))
-    slab_calls = blocks * (2 * -(-inner // step) + 1)
-    if lead // blocks * per < 2 or step < min(inner, 8) or slab_calls > inner * one_blocks:
-        blocks, step = one_blocks, 1
-    acc = np.empty((step + (step > 1), -(-lead // blocks)) + out.shape[1:])
-    einsum = acc[-1].size * step >= 4096  # faster from here: fills no broadcast buffers
-    if einsum:
-        product = lambda x, y, o: np.einsum(spec, x, y, out=o)
-    else:  # operands that broadcast to the products' shape
-        A, B, product = A[..., None], B[..., None, :], np.multiply
-    for i in range(blocks):
-        r0, r1 = lead * i // blocks, lead * (i + 1) // blocks
-        ob, acc_r = out[r0:r1], acc[:, :r1 - r0]
-        a_r, b_r = A[:, r0:r1], (B if a.ndim == 2 else B[:, r0:r1])
-        if step > 1:
-            acc_r[0] = 0.0
-            for k0 in range(0, inner, step):
-                k1 = min(k0 + step, inner)
-                product(a_r[k0:k1], b_r[k0:k1], acc_r[1:k1 - k0 + 1])
-                np.add.reduce(acc_r[:k1 - k0 + 1], 0, None, ob if k1 == inner else acc_r[0])
-            continue
-        for k in range(inner):
-            product(a_r[k:k + 1], b_r[k:k + 1], acc_r)
-            ob += acc_r[0]
+    if out.size > 1 and inner * out.size <= _SLAB_ENTRIES:  # one slab: nothing to plan
+        einsum = inner * out.size >= 4096  # faster from here: fills no broadcast buffers
+        acc = np.empty((inner + 1,) + out.shape)
+        acc[0] = 0.0
+        if einsum:
+            np.einsum(spec, A, B, out=acc[1:])
+        else:
+            np.multiply(A[..., None], B[..., None, :], out=acc[1:])
+        np.add.reduce(acc, 0, None, out)
+    else:
+        # long inner dimensions would walk a's columns with a large stride; one
+        # contiguous transpose up front is cheaper than n*inner strided reads
+        if inner >= 256 and a.shape[-2] >= 256:
+            A = np.ascontiguousarray(A)
+        # slab plan: row blocks of min(inner, 16) products per entry, split evenly,
+        # then as many k as a slab holds.  It needs blocks of 2+ entries (numpy sums
+        # one pairwise) and at most half the one-step update's numpy calls (2 per k)
+        lead, per = len(out), out.size // len(out)
+        blocks = -(-lead // max(1, _SLAB_ENTRIES // ((min(inner, 16) + 1) * per)))
+        step = max(1, min(inner, _SLAB_ENTRIES // (-(-lead // blocks) * per) - 1))
+        one_blocks = -(-lead // max(1, _MATMUL_BLOCK_BYTES // (8 * per)))
+        slab_calls = blocks * (2 * -(-inner // step) + 1)
+        if lead // blocks * per < 2 or step < min(inner, 8) or slab_calls > inner * one_blocks:
+            blocks, step = one_blocks, 1
+        acc = np.empty((step + (step > 1), -(-lead // blocks)) + out.shape[1:])
+        einsum = acc[-1].size * step >= 4096  # products per call, as above
+        if einsum:
+            product = lambda x, y, o: np.einsum(spec, x, y, out=o)
+        else:  # operands that broadcast to the products' shape
+            A, B, product = A[..., None], B[..., None, :], np.multiply
+        for i in range(blocks):
+            r0, r1 = lead * i // blocks, lead * (i + 1) // blocks
+            ob, acc_r = out[r0:r1], acc[:, :r1 - r0]
+            a_r, b_r = A[:, r0:r1], (B if a.ndim == 2 else B[:, r0:r1])
+            if step > 1:
+                acc_r[0] = 0.0
+                for k0 in range(0, inner, step):
+                    k1 = min(k0 + step, inner)
+                    product(a_r[k0:k1], b_r[k0:k1], acc_r[1:k1 - k0 + 1])
+                    np.add.reduce(acc_r[:k1 - k0 + 1], 0, None, ob if k1 == inner else acc_r[0])
+                continue
+            for k in range(inner):
+                product(a_r[k:k + 1], b_r[k:k + 1], acc_r)
+                ob += acc_r[0]
     if einsum and not np.isfinite(out).all():  # einsum never warns: multiply does
         for k in range(inner):
             np.multiply(A[k, ..., None], B[k, ..., None, :])
@@ -148,16 +158,25 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = x.astype(np.uint64)
         z ^= z >> np.uint64(30)
-        z *= _SM_MIX1
+        z *= np.uint64(_SM_MIX1)
         z ^= z >> np.uint64(27)
-        z *= _SM_MIX2
+        z *= np.uint64(_SM_MIX2)
         z ^= z >> np.uint64(31)
     return z
 
 
+def _splitmix_int(z: int) -> int:
+    """:func:`_splitmix` of one int in [0, 2**64), in Python-int arithmetic mod 2**64."""
+    z ^= z >> 30
+    z = (z * _SM_MIX1) & 0xFFFFFFFFFFFFFFFF
+    z ^= z >> 27
+    z = (z * _SM_MIX2) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
+
+
 def _raw_stream(seed: int, count: int) -> np.ndarray:
     with np.errstate(over="ignore"):
-        idx = (np.arange(1, count + 1, dtype=np.uint64) * _SM_GAMMA
+        idx = (np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
                + np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     return _splitmix(idx)
 
@@ -168,12 +187,10 @@ def split_seed(seed: int, *stream: int) -> int:
     Each component is mixed before combining, so (seed, ids) pairs that merely
     share a sum do not collide.
     """
-    z = _splitmix(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))[0]
+    z = _splitmix_int(seed & 0xFFFFFFFFFFFFFFFF)
     for s in stream:
-        with np.errstate(over="ignore"):
-            zs = _splitmix(np.array([np.uint64(s & 0xFFFFFFFFFFFFFFFF) + _SM_GAMMA]))[0]
-            z = _splitmix(np.array([z ^ zs]))[0]
-    return int(z)
+        z = _splitmix_int(z ^ _splitmix_int((s + _SM_GAMMA) & 0xFFFFFFFFFFFFFFFF))
+    return z
 
 
 def uniform(rows: int, cols: int, seed: int, low: float = -1.0, high: float = 1.0) -> Matrix:

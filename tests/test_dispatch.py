@@ -38,17 +38,25 @@ def test_every_traced_attribute_exists(monkeypatch):
 
 
 def test_stability_runs_one_forward_per_step(monkeypatch):
-    calls = {}
-    inner = attention.forward
+    # perfbench counts SGD steps as attention.forward calls
+    calls = []  # [mechanism, forward calls] per _stability_replica call
+    forward, replica = attention.forward, grad._stability_replica
 
-    def counted(Q, K, V, spec, **kw):
-        calls[spec.mechanism] = calls.get(spec.mechanism, 0) + 1
-        return inner(Q, K, V, spec, **kw)
+    def counted_forward(Q, K, V, spec, **kw):
+        calls[-1][1] += 1
+        return forward(Q, K, V, spec, **kw)
 
-    monkeypatch.setattr(attention, "forward", counted)
+    def counted_replica(spec, *args):
+        calls.append([spec.mechanism, 0])
+        rsd = replica(spec, *args)
+        assert np.isfinite(rsd)  # no replica diverged, so each ran every step
+        return rsd
+
+    monkeypatch.setattr(attention, "forward", counted_forward)
+    monkeypatch.setattr(grad, "_stability_replica", counted_replica)
     specs = grad.default_stability_specs()
-    grad.grad_stability_experiment(specs, steps=3, replicas=1)
-    assert calls == {s.mechanism: 3 for s in specs}
+    grad.grad_stability_experiment(specs, steps=4, replicas=2)
+    assert calls == [[s.mechanism, 4] for s in specs for _ in range(2)]
 
 
 def test_backward_looks_up_at_call_time(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -595,3 +596,14 @@ class TestStability:
         assert a.rsd == b.rsd
         assert a.replicas == b.replicas
         assert len(a.replicas["vanilla"]) == 2
+
+    # sha256 of the report JSON: a faster experiment must keep every bit
+    @pytest.mark.parametrize("seed,four,want", [
+        (1, False, "30889bdab75dd1193df5cf0236040eacbd54ecef3259de696d9bf7ca8499d1d8"),
+        (7, False, "424cfd5aaeaf44084412a20b0bc459d9f3c5012be16ac5c7c26ad76d42cc634d"),
+        (7, True, "d56fb6f1107de85d2ad752874de711afed59ff2304b91ed8e994bd91f966935e"),
+    ])
+    def test_report_known_answers(self, seed, four, want):
+        specs = grad.default_stability_specs() + [AttentionSpec("diag", block_size=8)] * four
+        rep = grad.grad_stability_experiment(specs, steps=30, seed=seed)
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == want

@@ -77,6 +77,15 @@ MATMUL_GRID = [((n, k), (k, p)) for k in (1, 7, 8, 9, 33, 300)
     ((482, 300), (300, 1)),         # one-column outputs in two row blocks,
     ((820, 9), (9, 1)),             # whose lead leaves a lone row over
     ((482, 1, 16), (482, 16, 1)),
+] + [
+    # one slab holds inner x entries <= 8192 products of 2+ entries; einsum from 4096
+    ((63, 65), (65, 1)), ((8, 64), (64, 8)), ((16, 64), (64, 8)),     # 4095, 4096, 8192
+    ((3, 2731), (2731, 1)), ((2731, 3), (3, 1)),                      # 8193: planned
+    ((1, 4096), (4096, 2)), ((2, 4097), (4097, 1)), ((1, 1), (1, 2)),  # 2 entries
+    ((63, 1, 65), (63, 65, 1)), ((64, 1, 64), (64, 64, 1)),           # (B,1,k)(B,k,1)
+    ((2, 1, 4096), (2, 4096, 1)), ((3, 1, 2731), (3, 2731, 1)),
+    ((32, 1), (1, 8)), ((64, 1), (1, 64)), ((64, 1), (1, 128)),       # inner 1
+    ((91, 1), (1, 91)), ((4, 1, 1), (4, 1, 2)),
 ]
 
 
@@ -102,12 +111,18 @@ class TestMatmul:
         assert_same_bits_as_one_step(*_operands((n, k), (k, p), seed))
 
     @pytest.mark.parametrize("a_shape,b_shape", [
-        ((32, 32), (32, 8)),            # slabs of einsum products
-        ((4, 16, 16), (4, 16, 16)),     # the same, stacked
-        ((8, 32), (32, 8)),             # slabs of multiply products
+        ((32, 32), (32, 8)),            # one slab of einsum products
+        ((4, 16, 16), (4, 16, 16)),     # planned slabs of einsum products, stacked
+        ((8, 32), (32, 8)),             # one slab of multiply products
         ((2, 8, 16), (2, 16, 8)),       # the same, stacked
         ((64, 8), (8, 128)),            # one-step einsum
-        ((2, 2), (2, 2)),               # one-step multiply
+        ((2, 2), (2, 2)),               # one slab of multiply products, small
+        ((8, 64), (64, 8)),             # one slab of einsum products, at 4096
+        ((4, 8, 16), (4, 16, 8)),       # the same, stacked
+        ((32, 1), (1, 8)),              # one slab of multiply products, inner 1
+        ((64, 16), (16, 16)),           # planned slabs of einsum products
+        ((5, 31, 16), (5, 16, 8)),      # planned slabs of multiply products
+        ((1, 2), (2, 1)),               # one-step multiply
     ])
     @pytest.mark.parametrize("fill,err", [((np.inf, 0.0), "invalid"), ((1e200, 1e200), "over")])
     def test_products_raise_floating_point_errors_as_multiply_does(self, a_shape, b_shape,
@@ -298,6 +313,35 @@ class TestSeededGenerators:
     def test_split_seed_stable(self):
         assert linalg.split_seed(7, 1) == linalg.split_seed(7, 1)
         assert linalg.split_seed(7, 1) != linalg.split_seed(7, 2)
+
+    # every seeded input in the suites and experiments rests on these values
+    @pytest.mark.parametrize("args,want", [
+        ((7,), 0x12ae30237b17df14),
+        ((0, 0), 0x48218226ff3cd4bf),
+        ((7, 1), 0x8ce4b23d452e8551),
+        ((-1, 3), 0xd4b68d871146d6bf),
+        ((-2**63, 5, 6), 0x1098f8a3d244f52e),
+        ((2**64 - 1, 2**64), 0xefb5ca1843eeee6f),
+        ((123456789, 2**64 + 5, 2**70, -2), 0x351b4e0e43059197),
+        ((42, 1, 2, 3, 4), 0xbacab59c877674e0),
+        ((-7, -1), 0x069a322857d33b06),
+    ])
+    def test_split_seed_known_answers(self, args, want):
+        assert linalg.split_seed(*args) == want
+
+    def test_int_mix_equals_array_mix(self):
+        zs = [0, 1, 2**63 - 1, 2**63, 2**64 - 1] + [
+            int(z) for z in np.random.default_rng(0).integers(0, 2**64, 2000, dtype=np.uint64)]
+        want = linalg._splitmix(np.array(zs, dtype=np.uint64))
+        assert [linalg._splitmix_int(z) for z in zs] == [int(w) for w in want]
+
+    def test_generators_known_first_rows(self):
+        assert [float(x).hex() for x in linalg.uniform(1, 4, 7)[0]] == [
+            "-0x1.c341e1ba6cdf8p-3", "-0x1.eecf0ca02f0e8p-1", "0x1.9a610202eac4ap-1",
+            "0x1.53aeb70673e28p-3"]
+        assert [float(x).hex() for x in linalg.normal(1, 5, 7)[0]] == [
+            "-0x1.30c1f365d63e8p+0", "-0x1.5dbda157ee8d1p+1", "0x1.ac17c7ef1d694p-10",
+            "-0x1.5dd9483d9aeb1p-1", "0x1.aeefb4641c28ap-1"]
 
     @given(st.integers(0, 2**32), st.integers(0, 100))
     @settings(max_examples=50)
