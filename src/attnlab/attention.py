@@ -144,32 +144,27 @@ def vanilla_forward(Q: Matrix, K: Matrix, V: Matrix, spec: Optional[AttentionSpe
     return AttentionOutput(O=O, P=P if reference else None)
 
 
-def _kernel_attention(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
-                      reference: bool) -> tuple[Matrix, Optional[np.ndarray], Optional[Matrix]]:
-    """(T, z, S): T = phi(Q) phi(K)^T V, the body that linear and norm share;
-    z, the row score sums, only for linear; S, the n x n score matrix, built
-    only in the reference form.
+def _kernel_features(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
+                     dO: Optional[Matrix] = None) -> tuple[Matrix, Matrix, Matrix]:
+    """(phi(Q), phi(K), V~) of linear or norm, after _check_shapes: V~ is V
+    with a ones column appended for linear, so that the last column of
+    T~ = phi(Q) phi(K)^T V~ is the row score sum z; V itself for norm."""
+    _check_shapes(Q, K, V, dO)
+    if spec.mechanism == "linear":
+        V = np.concatenate([V, np.ones((len(V), 1))], axis=1)
+    return spec.kernel_fn.apply(Q), spec.kernel_fn.apply(K), V
 
-    The efficient form gets T and z in one product through _chunk_state's
-    d x d states phi(K)^T _value_columns(V), i.e. phi(K)^T [V | 1] for
-    linear, causal or not.  No n x n array is formed.
-    """
-    _check_shapes(Q, K, V)
-    linear, kern = spec.mechanism == "linear", spec.kernel_fn
+
+def _kernel_attention(FQ: Matrix, FK: Matrix, Vt: Matrix, causal: bool,
+                      reference: bool) -> tuple[Matrix, Optional[Matrix]]:
+    """(T~, S): T~ = phi(Q) phi(K)^T V~ from the _kernel_features, the body
+    that linear and norm share; S, the n x n scores, only in the reference
+    form, where T~ = S V~.  The efficient form goes through _chunk_state's
+    d x d states phi(K)^T V~, causal or not, and forms no n x n array."""
     if reference:
-        S = _feature_scores(kern.apply(Q), kern.apply(K), spec.causal)
-        return linalg.matmul(S, V), linalg.row_sums(S) if linear else None, S
-    FQ, FK, Vt = kern.apply(Q), kern.apply(K), _value_columns(V, spec)
-    Tz = _linear_causal(FQ, FK, Vt) if spec.causal else _chunk_state(FQ, FK, Vt, False)[-1]
-    return (Tz[:, :-1], Tz[:, -1], None) if linear else (Tz, None, None)
-
-
-def _value_columns(V: Matrix, spec: AttentionSpec) -> Matrix:
-    """V with a ones column appended for linear, so that the state product's
-    last column is the row score sum z; V itself for norm, which reads no z."""
-    if spec.mechanism != "linear":
-        return V
-    return np.concatenate([V, np.ones((len(V), 1))], axis=1)
+        S = _feature_scores(FQ, FK, causal)
+        return linalg.matmul(S, Vt), S
+    return _linear_causal(FQ, FK, Vt) if causal else _chunk_state(FQ, FK, Vt, False)[-1], None
 
 
 def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
@@ -179,20 +174,21 @@ def linear_scaled_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
     Raises ZeroDenominatorError when a row score sum vanishes: the rescaling
     has no meaning there.
     """
-    T, z, S = _kernel_attention(Q, K, V, spec, reference)
-    _check_denominator(z)
-    return AttentionOutput(O=T / z[:, None], P=None if S is None else S / z[:, None])
+    Tt, S = _kernel_attention(*_kernel_features(Q, K, V, spec), spec.causal, reference)
+    _check_denominator(Tt[:, -1])
+    z = Tt[:, -1:]  # T~ = [T | z]
+    return AttentionOutput(O=Tt[:, :-1] / z, P=None if S is None else S / z)
 
 
 def norm_forward(Q: Matrix, K: Matrix, V: Matrix, spec: AttentionSpec,
                  *, reference: bool = False) -> AttentionOutput:
-    """Kernelized attention without rescaling; rows of T normalized afterwards.
+    """Kernelized attention without rescaling; rows of T = T~ normalized afterwards.
 
     The reference form reports the raw score matrix in P; its rows are not
     stochastic for this mechanism.
     """
-    T, _, S = _kernel_attention(Q, K, V, spec, reference)
-    return AttentionOutput(O=linalg.row_rmsnorm(T, spec.epsilon), P=S)
+    Tt, S = _kernel_attention(*_kernel_features(Q, K, V, spec), spec.causal, reference)
+    return AttentionOutput(O=linalg.row_rmsnorm(Tt, spec.epsilon), P=S)
 
 
 def _linear_causal(FQ: Matrix, FK: Matrix, Vt: Matrix) -> Matrix:

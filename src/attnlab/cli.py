@@ -73,8 +73,9 @@ def verify_bounds(seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
         n = 2 + s % 7
         d = 1 + (s >> 8) % 4
         Q, K, V = linalg._seeded_qkv(s, n, d)
-        _, z, S = attention._kernel_attention(Q, K, V, AttentionSpec("linear"), reference=True)
-        P = S / z[:, None]
+        features = attention._kernel_features(Q, K, V, AttentionSpec("linear"))
+        Tt, S = attention._kernel_attention(*features, causal=False, reference=True)
+        P = S / Tt[:, -1:]
         c3 = float(np.min(np.abs(S)))
         m = grad._max_abs_dp_ds(P, S, kernels.get_kernel("identity"))
         suite.see("linear_dp_ds_excess_over_quarter_c3", m - 1.0 / (4.0 * c3), 1e-9, s)

@@ -12,12 +12,13 @@ constructor below realizes that blow-up exactly.  Every backward pass here is
 validated against central finite differences of its forward.
 
 linear and norm have two backwards.  backward(), which the model, the SGD
-experiment and bench call, goes through the d x d state phi(K)^T V in
+experiment and bench call, goes through the d x d state phi(K)^T V~ in
 O(n d^2) time, over the attention.CAUSAL_CHUNK-row chunks of the forward's
 chunk-state body, causal or not, run as one tile stack as diag_backward runs
 its blocks.  linear_scaled_backward and norm_backward are the quadratic
 reference: they form the n x n scores, and return the GradReport that reads
-them.
+them.  Both differentiate T~ = phi(Q) phi(K)^T V~ (V~ = [V | 1] for linear)
+and share one last-step backward, _state_step_backward.
 """
 
 from __future__ import annotations
@@ -158,29 +159,29 @@ def norm_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix,
 def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec,
                      with_fd: bool):
     """(dQ, dK, dV, report) through the reference form of
-    attention._kernel_attention, T = S V, and the mechanism's last step.
+    attention._kernel_attention, T~ = S V~, and the mechanism's last step.
 
     Quadratic in n: the report reads the n x n scores.  grad.backward takes
     _state_backward instead, which builds no report.
     """
-    attention._check_shapes(Q, K, V, dO)
-    T, z, S = attention._kernel_attention(Q, K, V, spec, reference=True)
+    FQ, FK, Vt = attention._kernel_features(Q, K, V, spec, dO)
+    Tt, S = attention._kernel_attention(FQ, FK, Vt, spec.causal, reference=True)
     c1 = linalg.row_norm_max(dO)
     c2 = linalg.row_norm_max(V)
     c3 = _min_abs_active(S, np.tri(S.shape[0]) if spec.causal else None)
-    dT, dz = _last_step_backward(T, z, dO, spec)
-    if z is None:
+    dTt = _state_step_backward(Tt, dO, spec)
+    if spec.mechanism == "norm":
         bound = 3.0 * c1 * c2 * V.shape[1] / (2.0 * math.sqrt(spec.epsilon))
     else:
         bound = math.sqrt(S.shape[0]) * c1 * c2 / (4.0 * c3) if c3 > 0 else math.inf
-    dV = linalg.matmul(linalg.transpose(S), dT)
-    # dL/dS, then back through attention._feature_scores' S = phi(Q) phi(K)^T
-    dS = linalg.matmul(dT, linalg.transpose(V)) + dz
+    dV = np.ascontiguousarray(linalg.matmul(linalg.transpose(S), dTt)[:, :V.shape[1]])
+    # dL/dS (linear's dL/dz via V~'s ones column), then back through S = phi(Q) phi(K)^T
+    dS = linalg.matmul(dTt, linalg.transpose(Vt))
     if spec.causal:
         dS = attention._causal_zero(dS)
     kern = spec.kernel_fn
-    dQ = linalg.matmul(dS, kern.apply(K)) * kern.derivative(Q)
-    dK = linalg.matmul(linalg.transpose(dS), kern.apply(Q)) * kern.derivative(K)
+    dQ = linalg.matmul(dS, FK) * kern.derivative(Q)
+    dK = linalg.matmul(linalg.transpose(dS), FQ) * kern.derivative(K)
     report = GradReport(mechanism=spec.mechanism, theoretical_bound=bound,
                         c1=c1, c2=c2, c3=c3, max_abs_dL_ds=float(np.max(np.abs(dS))))
     if with_fd:
@@ -188,32 +189,25 @@ def _kernel_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attentio
     return dQ, dK, dV, report
 
 
-def _last_step_backward(T: Matrix, z: Optional[np.ndarray], dO: Matrix,
-                        spec: AttentionSpec):
-    """(dL/dT, dL/dz) through the mechanism's last step: O = T / z for linear,
-    with dL/dz as a column that adds to every s_ik of the row; O =
-    row_rmsnorm(T) for norm, whose z is None and dL/dz 0."""
-    if z is None:
-        return rmsnorm_backward(T, dO, spec.epsilon), 0.0
-    attention._check_denominator(z)
-    dT = dO / z[:, None]
-    return dT, -np.add.reduce(dT * T, axis=1, keepdims=True) / z[:, None]
-
-
 def _state_step_backward(Tt: Matrix, dO: Matrix, spec: AttentionSpec) -> Matrix:
-    """dT~ = [dL/dT | dL/dz] from the state product T~ = [T | z] (linear), or
-    dL/dT from T~ = T (norm)."""
+    """dT~ through the last step from T~ = phi(Q) phi(K)^T V~, in either form:
+    norm's dL/dT through O = row_rmsnorm(T~); linear's [dL/dT | dL/dz] through
+    O = T / z, T~ = [T | z], where dL/dz is a column added to every s_ik of its row."""
     if spec.mechanism != "linear":
-        return _last_step_backward(Tt, None, dO, spec)[0]
-    return np.concatenate(_last_step_backward(Tt[:, :-1], Tt[:, -1], dO, spec), axis=1)
+        return rmsnorm_backward(Tt, dO, spec.epsilon)
+    attention._check_denominator(Tt[:, -1])
+    z = Tt[:, -1:]
+    dT = dO / z
+    dz = -np.add.reduce(dT * Tt[:, :-1], axis=1, keepdims=True) / z
+    return np.concatenate([dT, dz], axis=1)
 
 
 def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: AttentionSpec):
     """(dQ, dK, dV) through linear or norm in O(n d^2) time and O(n d) memory.
 
     The gradient of T~ = phi(Q) phi(K)^T V~ goes through the d x d state
-    M~ = phi(K)^T V~ (Katharopoulos et al. 2020, section 3.3), where
-    V~ = attention._value_columns(V) and dT~ = [dL/dT | dL/dz]:
+    M~ = phi(K)^T V~ (Katharopoulos et al. 2020, section 3.3), from the
+    attention._kernel_features, with dT~ from _state_step_backward:
 
         dphi(Q) = dT~ M~^T    dM~ = phi(Q)^T dT~
         dV~ = phi(K) dM~      dphi(K) = V~ dM~^T
@@ -223,9 +217,8 @@ def _state_backward(Q: Matrix, K: Matrix, V: Matrix, dO: Matrix, spec: Attention
     suffix.  Causal runs all of it per chunk and adds the terms through the
     masked tiles S.
     """
-    attention._check_shapes(Q, K, V, dO)
+    FQ, FK, Vt = attention._kernel_features(Q, K, V, spec, dO)
     kern, causal = spec.kernel_fn, spec.causal
-    FQ, FK, Vt = kern.apply(Q), kern.apply(K), attention._value_columns(V, spec)
     S, M, Tt = attention._chunk_state(FQ, FK, Vt, causal)
     dTt = _state_step_backward(Tt, dO, spec)
     FQ_c, dTt_c = attention._chunks(FQ), attention._chunks(dTt)

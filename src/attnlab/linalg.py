@@ -47,13 +47,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         return out
     if out.size > 1 and inner * out.size <= _SLAB_ENTRIES:  # one slab: nothing to plan
         einsum = inner * out.size >= 4096  # faster from here: fills no broadcast buffers
-        acc = np.empty((inner + 1,) + out.shape)
-        acc[0] = 0.0
+        acc = np.empty((inner,) + out.shape)
         if einsum:
-            np.einsum(spec, A, B, out=acc[1:])
+            np.einsum(spec, A, B, out=acc)
         else:
-            np.multiply(A[..., None], B[..., None, :], out=acc[1:])
-        np.add.reduce(acc, 0, None, out)
+            np.multiply(A[..., None], B[..., None, :], out=acc)
+        np.add.reduce(acc, 0, None, out, initial=0.0)
     else:
         # long inner dimensions would walk a's columns with a large stride; one
         # contiguous transpose up front is cheaper than n*inner strided reads

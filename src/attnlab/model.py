@@ -58,10 +58,6 @@ class ModelConfig:
             raise ValueError("epsilon must be finite and > 0")
 
     @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
-    @property
     def ffn_dim(self) -> int:
         return self.glu_dim if self.glu_dim > 0 else 2 * self.d_model
 
@@ -166,15 +162,10 @@ def _attention_sublayer(a: Matrix, params: LayerParams, spec: AttentionSpec,
     Q = linalg.matmul(a, params.W_Q)
     K = linalg.matmul(a, params.W_K)
     V = linalg.matmul(a, params.W_V)
-    outs = []
-    Ps = []
-    for Qh, Kh, Vh in zip(_heads(Q, config.n_heads), _heads(K, config.n_heads),
-                          _heads(V, config.n_heads)):
-        res = attention.forward(Qh, Kh, Vh, spec, reference=collect_P)
-        outs.append(res.O)
-        if collect_P:
-            Ps.append(res.P)
-    concat = np.concatenate(outs, axis=1)
+    heads = zip(*(_heads(m, config.n_heads) for m in (Q, K, V)))
+    outs = [attention.forward(Qh, Kh, Vh, spec, reference=collect_P) for Qh, Kh, Vh in heads]
+    concat = np.concatenate([res.O for res in outs], axis=1)
+    Ps = [res.P for res in outs] if collect_P else []
     return linalg.matmul(concat, params.W_O), Ps, (Q, K, V, concat)
 
 
@@ -220,20 +211,11 @@ def _attention_sublayer_backward(a: Matrix, params: LayerParams,
                                  cache, d_out: Matrix):
     """Gradients of the attention sublayer from its forward cache."""
     Q, K, V, concat = cache
-    heads = zip(_heads(Q, config.n_heads), _heads(K, config.n_heads),
-                _heads(V, config.n_heads))
     dW_O = linalg.matmul(linalg.transpose(concat), d_out)
     d_concat = linalg.matmul(d_out, linalg.transpose(params.W_O))
-    hd = config.head_dim
-    dQ = np.empty_like(Q)
-    dK = np.empty_like(K)
-    dV = np.empty_like(V)
-    for h, (Qh, Kh, Vh) in enumerate(heads):
-        dOh = d_concat[:, h * hd:(h + 1) * hd]
-        dq, dk, dv = grad.backward(Qh, Kh, Vh, dOh, spec)
-        dQ[:, h * hd:(h + 1) * hd] = dq
-        dK[:, h * hd:(h + 1) * hd] = dk
-        dV[:, h * hd:(h + 1) * hd] = dv
+    heads = zip(*(_heads(m, config.n_heads) for m in (Q, K, V, d_concat)))
+    per_head = [grad.backward(Qh, Kh, Vh, dOh, spec) for Qh, Kh, Vh, dOh in heads]
+    dQ, dK, dV = (np.concatenate(G, axis=1) for G in zip(*per_head))
     da = linalg.matmul(dQ, linalg.transpose(params.W_Q)) + \
         linalg.matmul(dK, linalg.transpose(params.W_K)) + \
         linalg.matmul(dV, linalg.transpose(params.W_V))

@@ -8,6 +8,7 @@ attnlab by name, signature and return shape; the workload check below runs
 each workload's warm-up and finite-difference probes against this tree.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from attnlab import attention, grad, linalg, model
 from attnlab.attention import MECHANISMS, AttentionSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "attnlab"
 
 
 def _load_perfbench(monkeypatch, name):
@@ -109,3 +111,43 @@ def test_perfbench_workload_runs(monkeypatch, name):
     finally:
         sys.modules.pop("oracle", None)
     assert failed == []
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__") and n != "_"}
+
+
+def _references(tree):
+    """Names read, attributes read and string constants, docstrings aside."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_private_name_has_a_caller():
+    # a private helper that neither the package nor the benchmark reads is
+    # dead code: delete it with its last caller (tests do not count)
+    modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = set()
+    for tree in [*modules.values(), *(ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py"))]:
+        refs |= _references(tree)
+    unused = sorted(f"{path.stem}.{name}" for path, tree in modules.items()
+                    for name in _private_definitions(tree) - refs)
+    assert unused == []

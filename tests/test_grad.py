@@ -352,6 +352,100 @@ class TestStateBackward:
                 grad.backward(Q, K, V, V, spec)
 
 
+# sha256 of norm_backward's dQ, dK, dV and report JSON, and of grad.backward's
+# dQ, dK, dV for norm and for linear, per (kernel, causal, n, d); linear runs
+# relu where norm runs elu.  A change of form keeps every bit.
+KERNEL_KNOWN_ANSWERS = {
+    ("1+elu", False, 1, 4): (
+        "c08ac30e7a82e29b9636ec2fb6dc3a4298c034a1a14cf0b15356dc5710f5e3db",
+        "5c11e9be6bd7eff6883ed55b297439415bfd9634f842ae437c3bdbb46d1f7452",
+        "c7820866de606b3d0d96e4b1477e03c191588e35b836391ce6d4bec024e36d1f"),
+    ("1+elu", False, 64, 16): (
+        "614007f1ee63a701d19e1ce6db366c0609e1085b2d4f3628e7b15a8ccf04ffdf",
+        "f623a7353749640704a3ba4fc06efcfabb3a3b461c4c271e4d7010572e73298a",
+        "6b24bb17a9dabe0e97f72fbc7f6e537bbaf336313ea2d7c2724138c3ec45b636"),
+    ("1+elu", False, 65, 8): (
+        "34a7ced1dbd5ead86eb3e808e996cf84814a51a71b4d49be2e2e52f8e573b122",
+        "2b449c5f4901217bbe5985635bbf24fd74303d2315986efd04ac23030c834b23",
+        "9e0023bd6c32259e76d4deecbca0aecfeb8f2a3a0d35ea1727efade633e47566"),
+    ("1+elu", False, 130, 16): (
+        "72ab6ef5a14be2c79b883387c357ca4db4c30a64b773c3ae04dbf051861c45ba",
+        "621051d9046e1e9974b34d0362eedaba7f2a5c79e2e438a5c0d47bd2a1094255",
+        "99d3679ac3e98b62cee17236139479b2869eb2613c0b5c0bb72179f1a90f413b"),
+    ("1+elu", True, 1, 4): (
+        "c08ac30e7a82e29b9636ec2fb6dc3a4298c034a1a14cf0b15356dc5710f5e3db",
+        "0a48330f21f45fefbc681a4a6129f0145af746f413f1ef8ee42927205321b649",
+        "02b56153cfeefe3c87eb9b13d6d57a59d6404b79d3fd6ae45c1bb922b2bac8ef"),
+    ("1+elu", True, 64, 16): (
+        "9f78367cf8c72b8c7632eb50829de282c3d707ec1e57bdf9e309b26026cf8dc3",
+        "67ce1020f292b8bb10d61aaebf5eca8b8471a5d74bc9d8263c4c67815cb8a1f8",
+        "8560b61166ab4bb7a549e018048242b929b5afd57b42d27b1db8a480c4e99913"),
+    ("1+elu", True, 65, 8): (
+        "079f5224f1a98619ad7b70a58e773bbbd5644e8b1c1929518aaa7b8a9e4eff79",
+        "c6317e2d9b2068eb647ebc3d39a3bd9a27235ab30b5e275ef4534aa53fbbc182",
+        "680e537adeb61bee0ef0003756eb0c8399faaff16bf2f15e63c2a0c997655c0d"),
+    ("1+elu", True, 130, 16): (
+        "2e9b9f3dc01186e4d59fa7285bd4679ba00d479d1bf7c27ed670fe4e7e74532e",
+        "36c304c2b570697564b8c93ef8d0c2834a62ad9febc23aa55d7168f8a74558f1",
+        "65ba52d491d8c46a0cd9e11811c2ab246458dbd6301fa4f30540a8e8952f2140"),
+    ("elu", False, 1, 4): (
+        "8e0404112ba5938d52882e06d2eec43d4b76bf025f9ab1b30452c55fe375fa86",
+        "69f25704420b27b7975e05a02b46438a95b6b96240c22b2ba4506ac2d8776000",
+        "e3a392920d5e06b1782c003e1caa1cbda931ea1be813427c8fd06534f9a13cfb"),
+    ("elu", False, 64, 16): (
+        "ed5f127b611a5afe5e5ce653f0ca8ab595550a50471cb53071911df7de171d02",
+        "d413b3fb03d62fb1d0b92a1ce1c341edf13e1c62d494635a79c8db3317912514",
+        "d62fd22faa825d534a586fa4c553fc5cd9d2b61b472b8fe4f3bff7cc734eb11f"),
+    ("elu", False, 65, 8): (
+        "af67d176ff357d8a5d21f2a3c6a0221ef0f184929fa5d2714a3bfc5af342ad5c",
+        "f81b80e127d5c1aaf5efebff3fc26d0408f19215e9e5da1d83199eb66092eac3",
+        "20171501a7833310c02cfc4e634f786550ea2d348b6587cbba795148d710a6a2"),
+    ("elu", False, 130, 16): (
+        "aa42af0bfd0ad4f82dbbdf2f86bca7d38baf9b29d52be92b71b37907f9c19924",
+        "e1602e991d5f16471c484ee244c893e5c798c23c73909b05b52b5ec3bb7064cd",
+        "87e4b2bb965a04131ccfd4ad3be8aa7f3259765eee68763fa24110319cd4312f"),
+    ("elu", True, 1, 4): (
+        "8e0404112ba5938d52882e06d2eec43d4b76bf025f9ab1b30452c55fe375fa86",
+        "76ef3292cc3554a79505cc22ad2276d9d83f2880f6de4c09a85537ce041b480c",
+        "7fb0265adc9b60b8349e66e70329386ed4026cc5993d9041d75ca556ac5839d3"),
+    ("elu", True, 64, 16): (
+        "a425ff9d42895fe37f84969da9778743c47feb89f0b249cb5d1973da01377692",
+        "397a9b8d076d510ad7b2b173b96d20af7823b248c0e77a4f438ac582e44d8389",
+        "e4203392b3df305c7408e567c06c1bf6ad8fbd312a7dbdb19b289395f9529f93"),
+    ("elu", True, 65, 8): (
+        "cd04821f301e652c2e83b7f18d057f4e40d029df897faeb9e38077c744bf9b08",
+        "1a0824b9289f8f3830533695aa1fd496fd3132baca91628282916accd0814bc9",
+        "c55aacab1f145319a8844ff1b2faf2873a4cabf938abdcbad2e96d2b4c4a1856"),
+    ("elu", True, 130, 16): (
+        "487c26cab2f66fbbf47a010b324fed520980e1841e8131d200637829e163ba4a",
+        "1670db2f660218d44794e296f3dc046b9b0d1a46d193cc78bfa1965a6d7fa9f5",
+        "51393e6bb2fa1101a956e8b10e3cd1c5ae84c5fc77cf612fa3c2d672b973428d"),
+}
+
+
+def _digest(*arrays, text=""):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(text.encode())
+    return h.hexdigest()
+
+
+class TestKernelKnownAnswers:
+    @pytest.mark.parametrize("kernel,causal,n,d", list(KERNEL_KNOWN_ANSWERS))
+    def test_known_answers(self, kernel, causal, n, d):
+        Q, K, V = linalg._seeded_qkv(linalg.split_seed(41, n, d), n, d)
+        dO = linalg.uniform(n, d, linalg.split_seed(43, n, d))
+        norm = AttentionSpec("norm", kernel=kernel, causal=causal)
+        linear = AttentionSpec("linear", kernel="1+elu" if kernel == "1+elu" else "relu",
+                               causal=causal)
+        dQ, dK, dV, rep = grad.norm_backward(Q, K, V, dO, norm)
+        got = (_digest(dQ, dK, dV, text=rep.to_json()),
+               _digest(*grad.backward(Q, K, V, dO, norm)),
+               _digest(*grad.backward(Q, K, V, dO, linear)))
+        assert got == KERNEL_KNOWN_ANSWERS[kernel, causal, n, d]
+
+
 class TestDiagBackward:
     def test_softmax_blocks_fd(self):
         Q, K, V = seeded_qkv(74, 8, 4)

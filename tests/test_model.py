@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -213,6 +214,32 @@ class TestLayerBackward:
         model.layer_backward(x, model.init_layer(cfg, 0), 0, cfg,
                              linalg.uniform(8, 8, seed=62))
         assert calls == [cfg.layer_mechanism(0)] * cfg.n_heads
+
+    # sha256 of model_forward, and of each layer's layer_backward dx and seven
+    # weight grads, for a 2-layer diag+norm stack: a change of form keeps every bit
+    @pytest.mark.parametrize("variant,causal,want_fwd,want_bwd", [
+        ("t1", False, "c0384dac4024de762f3b4c5caa4447b839745c97b32b44e5ec8ad1dab8979cd5",
+         "34b03b75d272c6777022df06091796ad6c976e3c102cb43548f8492a7dc526f7"),
+        ("t1", True, "f6c08868da5051f9f00cf27dc9dc0bb0768077ddb1d13617e3a74fe2a957abdf",
+         "b8e8c79271152d37254cb22029057a5533cc42778be7428dd4a8d517bc654b5f"),
+        ("t2", False, "1f00f2a04fad06916e83e70f5c08f5ac2b3771c7a1977c55f8d83b49b99725b0",
+         "12ed9526ca4c4a6cd9e3bf72db4eead8ca0f6c1fd962ac1410c8e0f8ce54c666"),
+        ("t2", True, "f88ac042547b97a619cb326cdf1fb5fa14867a80d8508258579bfa97e0e939d7",
+         "6f4388cf246766f19d6cefbf7b3a85862d1d9ba41e873ccd78c41e80a9b83ab2"),
+    ])
+    def test_known_answers(self, variant, causal, want_fwd, want_bwd):
+        cfg = ModelConfig(n_layers=2, n_early=1, d_model=16, n_heads=4, block_size=16,
+                          variant=variant, causal=causal)
+        params = model.init_params(cfg)
+        x = linalg.normal(64, 16, linalg.split_seed(47, 1))
+        fwd = hashlib.sha256(model.model_forward(x, cfg, params).tobytes())
+        bwd = hashlib.sha256()
+        for i, p in enumerate(params):
+            d_out = linalg.normal(64, 16, linalg.split_seed(47, 2, i))
+            dx, grads = model.layer_backward(x, p, i, cfg, d_out)
+            for a in [dx] + [grads[k] for k in sorted(grads)]:
+                bwd.update(np.ascontiguousarray(a).tobytes())
+        assert (fwd.hexdigest(), bwd.hexdigest()) == (want_fwd, want_bwd)
 
     def test_wrong_width_raises_layer_forwards_error(self):
         cfg = ModelConfig(n_layers=1, n_early=1, d_model=8, n_heads=2,
